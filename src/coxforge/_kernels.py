@@ -1,20 +1,215 @@
-"""Kernel backend selection.
+"""Exact integer elimination kernels.
 
-Imports the compiled elimination kernels when the extension was built,
-otherwise the pure-Python fallback.  Set ``COXFORGE_PURE_PYTHON=1`` to force
-the fallback (used by the benchmark and by tests that compare backends).
+These are the hot loops of the lattice layer: row-style Hermite reduction,
+Smith diagonalisation with transforms, and Bareiss determinants.  They are
+plain Python and all arithmetic happens on Python ints, so results are
+exact at any operand size.
+
+Matrices cross this boundary as lists of lists of ints; the callers own
+validation and immutable wrapping.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("COXFORGE_PURE_PYTHON") == "1":
-    from coxforge._kernels_py import BACKEND, det, hnf, smith
-else:
-    try:
-        from coxforge._speedups import BACKEND, det, hnf, smith  # type: ignore[no-redef]
-    except ImportError:
-        from coxforge._kernels_py import BACKEND, det, hnf, smith  # type: ignore[no-redef]
+BACKEND = "python"
 
 __all__ = ["BACKEND", "det", "hnf", "smith"]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return ``(g, s, t)`` with ``g = gcd(a, b) >= 0`` and ``s*a + t*b = g``."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Row-style Hermite normal form with a unimodular transform.
+
+    Returns ``(h, u)`` with ``u * rows == h`` and ``det(u) = +-1``.  Pivots
+    are positive, entries above each pivot are reduced into ``[0, pivot)``,
+    pivot columns move strictly right as the row index grows and zero rows
+    sit at the bottom.  The result is the canonical representative of the
+    left-unimodular equivalence class of ``rows``.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    u = _identity(nr)
+    pivot_row = 0
+    for col in range(nc):
+        if pivot_row == nr:
+            break
+        for i in range(pivot_row + 1, nr):
+            if m[i][col] == 0:
+                continue
+            a, b = m[pivot_row][col], m[i][col]
+            if a == 0:
+                m[pivot_row], m[i] = m[i], m[pivot_row]
+                u[pivot_row], u[i] = u[i], u[pivot_row]
+                continue
+            if b % a == 0:
+                # Pivot divides the target: plain subtraction keeps the
+                # pivot row untouched (a general Bezout combine may not).
+                q = b // a
+                m[i] = [y - q * x for x, y in zip(m[pivot_row], m[i])]
+                u[i] = [y - q * x for x, y in zip(u[pivot_row], u[i])]
+                continue
+            g, s, t = _xgcd(a, b)
+            p, q = a // g, b // g
+            rp, ri = m[pivot_row], m[i]
+            m[pivot_row] = [s * x + t * y for x, y in zip(rp, ri)]
+            m[i] = [p * y - q * x for x, y in zip(rp, ri)]
+            rp, ri = u[pivot_row], u[i]
+            u[pivot_row] = [s * x + t * y for x, y in zip(rp, ri)]
+            u[i] = [p * y - q * x for x, y in zip(rp, ri)]
+        pivot = m[pivot_row][col]
+        if pivot == 0:
+            continue
+        if pivot < 0:
+            m[pivot_row] = [-x for x in m[pivot_row]]
+            u[pivot_row] = [-x for x in u[pivot_row]]
+            pivot = -pivot
+        for i in range(pivot_row):
+            q = m[i][col] // pivot
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[pivot_row])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
+        pivot_row += 1
+    return m, u
+
+
+def smith(rows: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Smith normal form with both transforms.
+
+    Returns ``(diag, u, v)`` where ``u * rows * v`` is diagonal with
+    ``diag`` on the diagonal, every entry of ``diag`` is nonnegative and
+    divides the next, and ``u``, ``v`` are unimodular.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    u = _identity(nr)
+    v = _identity(nc)
+    t = 0
+    while t < min(nr, nc):
+        pr = pc = -1
+        best = 0
+        for i in range(t, nr):
+            for j in range(t, nc):
+                e = m[i][j]
+                if e and (best == 0 or abs(e) < best):
+                    best = abs(e)
+                    pr, pc = i, j
+        if best == 0:
+            break
+        if pr != t:
+            m[t], m[pr] = m[pr], m[t]
+            u[t], u[pr] = u[pr], u[t]
+        if pc != t:
+            for row in m:
+                row[t], row[pc] = row[pc], row[t]
+            for row in v:
+                row[t], row[pc] = row[pc], row[t]
+        while True:
+            # Fold the column into the pivot, then the row; column work can
+            # reintroduce row entries and vice versa, so loop to a fixpoint.
+            # When the pivot divides the target, subtract the multiple and
+            # leave the pivot line alone; the general Bezout combine runs
+            # only when it strictly shrinks |pivot|, which bounds the loop.
+            for i in range(t + 1, nr):
+                if m[i][t] == 0:
+                    continue
+                a, b = m[t][t], m[i][t]
+                if b % a == 0:
+                    q = b // a
+                    m[i] = [y - q * x for x, y in zip(m[t], m[i])]
+                    u[i] = [y - q * x for x, y in zip(u[t], u[i])]
+                    continue
+                g, s, tt = _xgcd(a, b)
+                p, q = a // g, b // g
+                rp, ri = m[t], m[i]
+                m[t] = [s * x + tt * y for x, y in zip(rp, ri)]
+                m[i] = [p * y - q * x for x, y in zip(rp, ri)]
+                rp, ri = u[t], u[i]
+                u[t] = [s * x + tt * y for x, y in zip(rp, ri)]
+                u[i] = [p * y - q * x for x, y in zip(rp, ri)]
+            row_clean = True
+            for j in range(t + 1, nc):
+                if m[t][j] == 0:
+                    continue
+                a, b = m[t][t], m[t][j]
+                if b % a == 0:
+                    q = b // a
+                    for row in m:
+                        row[j] -= q * row[t]
+                    for row in v:
+                        row[j] -= q * row[t]
+                    continue
+                g, s, tt = _xgcd(a, b)
+                p, q = a // g, b // g
+                for row in m:
+                    x, y = row[t], row[j]
+                    row[t] = s * x + tt * y
+                    row[j] = p * y - q * x
+                for row in v:
+                    x, y = row[t], row[j]
+                    row[t] = s * x + tt * y
+                    row[j] = p * y - q * x
+                row_clean = False
+            if row_clean and all(m[i][t] == 0 for i in range(t + 1, nr)):
+                # Divisibility: pivot must divide the remaining block.
+                pivot = m[t][t]
+                stray = None
+                for i in range(t + 1, nr):
+                    for j in range(t + 1, nc):
+                        if m[i][j] % pivot:
+                            stray = i
+                            break
+                    if stray is not None:
+                        break
+                if stray is None:
+                    break
+                m[t] = [x + y for x, y in zip(m[t], m[stray])]
+                u[t] = [x + y for x, y in zip(u[t], u[stray])]
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    diag = [m[i][i] for i in range(min(nr, nc))]
+    return diag, u, v
+
+
+def det(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

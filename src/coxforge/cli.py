@@ -103,8 +103,6 @@ def _step_payload(step) -> dict:
         }
     if kind == "RowDivide":
         return {"kind": "row_divide", "row": step.row, "factor": step.factor}
-    if kind == "RowRescaleRational":
-        return {"kind": "row_rescale", "factors": [str(f) for f in step.factors]}
     raise AssertionError(f"unknown step {kind}")
 
 
@@ -121,9 +119,7 @@ def _step_text(step) -> str:
             f"scale column {payload['column']} by {payload['factor']} "
             f"(row {payload['row']} stays integral)"
         )
-    if kind == "row_divide":
-        return f"divide row {payload['row']} by {payload['factor']}"
-    return "rescale rows by " + " ".join(payload["factors"])
+    return f"divide row {payload['row']} by {payload['factor']}"
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +149,8 @@ def _cmd_wellform(args) -> tuple[str, dict]:
     p = parse_presentation(_read(args.file))
     wf, cert = well_form(p)
     verified = verify_certificate(p.weights, cert, wf.weights)
-    assert verified, "well-forming certificate failed to verify"
+    if not verified:
+        raise AssertionError("well-forming certificate failed to verify")
     human = []
     if not cert.steps:
         human.append("already well-formed")

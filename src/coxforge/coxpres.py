@@ -13,7 +13,6 @@ permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
@@ -44,7 +43,6 @@ __all__ = [
     "RowTransform",
     "ColumnScale",
     "RowDivide",
-    "RowRescaleRational",
     "Step",
     "WellFormingCertificate",
     "is_well_formed",
@@ -316,27 +314,9 @@ class RowDivide:
             raise InvalidArgumentError("row index must be nonnegative")
 
 
-@dataclass(frozen=True)
-class RowRescaleRational:
-    """Rescale each row by a positive rational, result must stay integral.
+Step = Union[RowTransform, ColumnScale, RowDivide]
 
-    Present for completeness of the step language (removal of generic
-    stabilisers can be phrased this way); the algorithms in this module
-    always emit prime ``RowDivide`` steps instead.
-    """
-
-    factors: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        coerced = tuple(Fraction(f) for f in self.factors)
-        if not coerced or any(f <= 0 for f in coerced):
-            raise InvalidArgumentError("need positive rational factors, one per row")
-        object.__setattr__(self, "factors", coerced)
-
-
-Step = Union[RowTransform, ColumnScale, RowDivide, RowRescaleRational]
-
-_STEP_TYPES = (RowTransform, ColumnScale, RowDivide, RowRescaleRational)
+_STEP_TYPES = (RowTransform, ColumnScale, RowDivide)
 
 
 @dataclass(frozen=True)
@@ -379,7 +359,7 @@ def _replay(matrix: IntMatrix, steps: Sequence[Step]) -> IntMatrix:
                     for row in work.entries
                 )
             )
-        elif isinstance(step, RowDivide):
+        else:  # RowDivide
             i, q = step.row, step.factor
             if i >= work.rows:
                 raise InvalidArgumentError("row divide out of range")
@@ -391,16 +371,6 @@ def _replay(matrix: IntMatrix, steps: Sequence[Step]) -> IntMatrix:
                     for t, row in enumerate(work.entries)
                 )
             )
-        else:  # RowRescaleRational
-            if len(step.factors) != work.rows:
-                raise InvalidArgumentError("need one rational factor per row")
-            scaled = []
-            for f, row in zip(step.factors, work.entries):
-                values = [Fraction(e) * f for e in row]
-                if any(v.denominator != 1 for v in values):
-                    raise InvalidArgumentError("rational rescale left the lattice")
-                scaled.append(tuple(int(v) for v in values))
-            work = IntMatrix(tuple(scaled))
     return work
 
 

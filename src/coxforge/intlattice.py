@@ -3,8 +3,7 @@
 Matrices are immutable tuples of tuples of Python ints and every operation
 is exact; minors of weight matrices grow fast, so nothing here ever touches
 floating point or fixed-width arithmetic.  The elimination cores (Hermite,
-Smith, determinant) are delegated to :mod:`coxforge._kernels`, which selects
-the compiled backend when available.
+Smith, determinant) are delegated to :mod:`coxforge._kernels`.
 
 The central notions:
 
@@ -22,7 +21,6 @@ The central notions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from coxforge import _kernels
@@ -31,9 +29,6 @@ from coxforge.errors import (
     MustStandardizeFirstError,
     RankError,
 )
-
-RationalScalar = Fraction
-"""Exact rational scalar: numerators/denominators stay reduced."""
 
 
 @dataclass(frozen=True)
@@ -144,25 +139,12 @@ def integer_inverse(m: IntMatrix) -> IntMatrix:
     d = det(m)
     if d not in (1, -1):
         raise InvalidArgumentError(f"matrix with determinant {d} is not unimodular")
-    # Fraction-exact Gauss-Jordan; entries are certified integral afterwards.
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m.entries)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if work[i][col])
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    inv_rows = []
-    for row in work:
-        tail = row[n:]
-        if any(x.denominator != 1 for x in tail):
-            raise AssertionError("unimodular inverse came out non-integral")
-        inv_rows.append([int(x) for x in tail])
-    return IntMatrix.from_rows(inv_rows)
+    # The Hermite form of a unimodular matrix is the identity, so the row
+    # transform that reaches it is the inverse.
+    h, u = _kernels.hnf(m.to_lists())
+    if h != IntMatrix.identity(n).to_lists():
+        raise AssertionError("Hermite form of a unimodular matrix is not the identity")
+    return IntMatrix.from_rows(u)
 
 
 def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
@@ -283,11 +265,6 @@ def smallest_prime_factor(n: int) -> int:
             return f
         f += 2
     return n
-
-
-def _apply_ops_mod_p(a: list[list[int]], ops, p: int) -> None:
-    for i, j, c in ops:
-        a[i] = [(x + c * y) % p for x, y in zip(a[i], a[j])]
 
 
 def _sl_reduce_to_identity_mod_p(g: IntMatrix, p: int) -> list[tuple[int, int, int]]:

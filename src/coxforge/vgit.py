@@ -537,7 +537,12 @@ def monomial_string(variables: Sequence[str], exponents: Sequence[int]) -> str:
 def _default_bound(p: CoxPresentation, ray: Vec2, dirs: list[Vec2]) -> int:
     env = os.environ.get("COXFORGE_DEGREE_BOUND")
     if env:
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"COXFORGE_DEGREE_BOUND must be an integer, got {env!r}"
+            ) from None
         if value < 0:
             raise InvalidArgumentError("COXFORGE_DEGREE_BOUND must be nonnegative")
         return value

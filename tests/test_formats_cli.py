@@ -170,6 +170,13 @@ class TestCliBasics:
         code, out, err = run_cli(capsys, "standardize", "/dev/null")
         assert code == 2 and "error:" in err
 
+    def test_non_integer_degree_bound_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("COXFORGE_DEGREE_BOUND", "abc")
+        code, out, err = run_cli(capsys, "game", example("F.cox"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "COXFORGE_DEGREE_BOUND" in err
+
     def test_unknown_verb_exits_2(self, capsys):
         assert run_cli(capsys, "nonsense")[0] == 2
 
@@ -323,3 +330,24 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "1 1 1" in proc.stdout
+
+    def test_unverified_certificate_is_internal_error_under_optimize(self):
+        # The certificate check must not be an ``assert``: ``python -O``
+        # would strip it and print an unverified certificate.
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        script = (
+            "import sys\n"
+            "import coxforge.cli as cli\n"
+            "cli.verify_certificate = lambda *args: False\n"
+            "sys.exit(cli.main(['wellform', sys.argv[1]]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, example("f2.cox")],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("internal error:")

@@ -1,6 +1,7 @@
 """Integer-lattice layer: matrices, normal forms, standardization."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -30,6 +31,36 @@ from coxforge.intlattice import (
 M = lambda rows: IntMatrix(tuple(tuple(r) for r in rows))
 
 F2_INPUT = M([[3, 3, 3, 0, -2], [1, 1, 1, 2, 0]])
+
+
+def gauss_jordan_inverse(rows):
+    """Inverse by Fraction-exact Gauss-Jordan elimination (test oracle)."""
+    n = len(rows)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if work[i][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [x / pv for x in work[col]]
+        for i in range(n):
+            if i != col and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    return [row[n:] for row in work]
+
+
+def random_unimodular(rng, n, moves=12, span=4):
+    """Random unimodular matrix: signed row swaps and transvections of I."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(moves):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            g[i], g[j] = [-x for x in g[j]], g[i]
+        else:
+            c = rng.randint(-span, span)
+            g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+    return g
 
 
 class TestIntMatrix:
@@ -85,6 +116,12 @@ class TestDeterminantAndInverse:
     def test_integer_inverse_requires_unimodular(self):
         with pytest.raises(InvalidArgumentError):
             integer_inverse(M([[2, 0], [0, 1]]))
+
+    def test_integer_inverse_matches_gauss_jordan_oracle(self):
+        rng = random.Random(2013)
+        for _ in range(300):
+            g = random_unimodular(rng, rng.randint(2, 6))
+            assert integer_inverse(M(g)).to_lists() == gauss_jordan_inverse(g)
 
     def test_unimodular_witness_validates(self):
         with pytest.raises(InvalidArgumentError):
