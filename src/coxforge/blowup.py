@@ -288,9 +288,8 @@ def blow_up_weighted_bundle(
         )
     gamma = tuple(c // spec.a_k for c in numerator)
     subdivided = star_subdivision(fan, gamma)
-    assert irrelevant_ideal_from_fan(subdivided) == result.irrelevant, (
-        "star subdivision does not reproduce the blow-up ideal"
-    )
+    if irrelevant_ideal_from_fan(subdivided) != result.irrelevant:
+        raise AssertionError("star subdivision does not reproduce the blow-up ideal")
     return result
 
 

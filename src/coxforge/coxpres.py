@@ -411,7 +411,7 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
     for k in range(work.cols):
         while True:
             ak = delete_column(work, k)
-            d = 0 if (ak.cols < r or rank(ak) < r) else minor_gcd(ak, r)
+            d = minor_gcd(ak, r) if ak.cols >= r else 0
             if d == 1:
                 break
             if d == 0:
@@ -430,9 +430,8 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
                 steps.append(RowTransform(witness))
                 work = g @ work
             bottom = work.entries[r - 1]
-            assert all(
-                bottom[t] % q == 0 for t in range(work.cols) if t != k
-            ), "echelon reduction failed to clear the bottom row"
+            if any(bottom[t] % q for t in range(work.cols) if t != k):
+                raise AssertionError("echelon reduction failed to clear the bottom row")
             steps.append(ColumnScale(k, q, r - 1))
             work = IntMatrix(
                 tuple(
@@ -446,13 +445,15 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
                 + (tuple(e // q for e in work.entries[r - 1]),)
             )
             nd = minor_gcd(delete_column(work, k), r)
-            assert nd * q == d, "column repair must shave exactly one prime"
+            if nd * q != d:
+                raise AssertionError("column repair must shave exactly one prime")
 
     h, witness = hnf_transform(work)
     if h != work:
         steps.append(RowTransform(witness))
         work = h
-    assert is_well_formed(work), "well-forming postcondition"
+    if not is_well_formed(work):
+        raise AssertionError("well-forming postcondition")
     return work, tuple(steps)
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from . import _kernels
 from .coxpres import (
     CoxPresentation,
     MonomialIdeal,
@@ -122,40 +123,21 @@ def _solve_in_cone(
     Returns the unique rational ``c`` with ``w = sum c_i * ray_i`` and all
     ``c_i >= 0``, or ``None`` when ``w`` is outside the cone (including the
     case where ``w`` is not even in its linear span).
+
+    The cone's rays are independent (``Fan`` checks it), so the Hermite form
+    of the rows ``[rays; w]`` ends in a zero row exactly when ``w`` lies in
+    their span; the transform's last row ``lam`` is then the relation
+    ``sum lam_i * ray_i + lam_k * w = 0``, with ``lam_k != 0``.
     """
-    d = len(w)
     k = len(cone)
-    # Columns are the cone's rays; Gauss-Jordan over Q on [R | w].
-    aug = [
-        [Fraction(rays[i][row]) for i in cone] + [Fraction(w[row])]
-        for row in range(d)
-    ]
-    pivots: list[tuple[int, int]] = []
-    prow = 0
-    for col in range(k):
-        pr = next((i for i in range(prow, d) if aug[i][col] != 0), None)
-        if pr is None:
-            continue
-        aug[prow], aug[pr] = aug[pr], aug[prow]
-        pivot = aug[prow][col]
-        aug[prow] = [x / pivot for x in aug[prow]]
-        for i in range(d):
-            if i != prow and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[prow])]
-        pivots.append((prow, col))
-        prow += 1
-    # Simplicial cone: rays independent, so every column has a pivot.
-    if len(pivots) != k:
-        return None
-    if any(aug[i][k] != 0 for i in range(prow, d)):
+    h, u = _kernels.hnf([list(rays[i]) for i in cone] + [list(w)])
+    if any(h[k]):
         return None  # w is outside the linear span
-    coeffs = [Fraction(0)] * k
-    for row, col in pivots:
-        coeffs[col] = aug[row][k]
+    lam = u[k]
+    coeffs = tuple(Fraction(-lam[i], lam[k]) for i in range(k))
     if any(c < 0 for c in coeffs):
         return None
-    return tuple(coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +304,8 @@ def weighted_bundle_fan(spec: WeightedBundleSpec) -> tuple[Fan, CoxPresentation]
     # The rays and the grading are Gale dual by construction; check it.
     ray_mat = fan.ray_matrix()
     product = weights @ ray_mat
-    assert all(e == 0 for row in product.entries for e in row), "weights vs rays"
+    if not all(e == 0 for row in product.entries for e in row):
+        raise AssertionError("weights vs rays")
     return fan, pres
 
 
@@ -366,7 +349,8 @@ def fan_from_presentation(p: CoxPresentation) -> Fan:
             raise UnsupportedFeatureError(
                 "a variable has zero ray: the quotient is not a fan quotient"
             )
-        assert gcd(*(abs(e) for e in ray)) == 1, "well-formed data gives primitive rays"
+        if gcd(*(abs(e) for e in ray)) != 1:
+            raise AssertionError("well-formed data gives primitive rays")
     n = p.num_variables
     cones = []
     for gen in p.irrelevant.generators():

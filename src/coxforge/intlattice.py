@@ -239,7 +239,8 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     # Column-style Hermite: run the row-style reduction on the transpose.
     h, _ = _kernels.hnf([list(c) for c in cols])
     basis_cols = [row for row in h if any(row)]
-    assert len(basis_cols) == d
+    if len(basis_cols) != d:
+        raise AssertionError("kernel basis must have one column per free direction")
     return IntMatrix(tuple(tuple(c[i] for c in basis_cols) for i in range(n)))
 
 
@@ -265,79 +266,6 @@ def smallest_prime_factor(n: int) -> int:
             return f
         f += 2
     return n
-
-
-def _sl_reduce_to_identity_mod_p(g: IntMatrix, p: int) -> list[tuple[int, int, int]]:
-    """Transvections reducing ``g`` (det 1 mod p) to the identity over F_p.
-
-    Each op ``(i, j, c)`` means "add c times row j to row i"; applying them
-    in order to ``g`` yields the identity matrix mod p.
-    """
-    r = g.rows
-    a = [[x % p for x in row] for row in g.entries]
-    ops: list[tuple[int, int, int]] = []
-
-    def apply(i: int, j: int, c: int) -> None:
-        c %= p
-        if c:
-            a[i] = [(x + c * y) % p for x, y in zip(a[i], a[j])]
-            ops.append((i, j, c))
-
-    for col in range(r):
-        # Invariant: columns < col are unit columns and rows >= col vanish
-        # there, so transvections among rows >= col cannot disturb them.
-        if a[col][col] == 0:
-            k = next((i for i in range(col + 1, r) if a[i][col]), None)
-            assert k is not None, "singular matrix slipped past the det check"
-            apply(col, k, 1)
-        if a[col][col] != 1:
-            k = next((i for i in range(col + 1, r) if a[i][col]), None)
-            if k is None:
-                # Determinant one makes the final pivot 1 automatically, so a
-                # fresh helper row below always exists when one is needed.
-                assert col < r - 1, "det-1 matrix cannot need a helper at the last pivot"
-                k = col + 1
-                apply(k, col, 1)
-            apply(col, k, (1 - a[col][col]) * pow(a[k][col], -1, p))
-        for i in range(r):
-            if i != col and a[i][col]:
-                apply(i, col, -a[i][col])
-    assert a == [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    return ops
-
-
-def sl_lift_mod_p(g_bar: IntMatrix, p: int) -> IntMatrix:
-    """Determinant-one integer lift of a matrix in ``SL_r(F_p)``.
-
-    The reduction of ``g_bar`` to the identity is expressed as a product of
-    transvections over F_p; inverting and lifting each transvection with a
-    representative in ``[0, p)`` produces an integer matrix of determinant
-    exactly 1 that is congruent to ``g_bar`` mod p.  Entries of the lift can
-    be large; only the congruence and the determinant are contractual.
-
-    Raises:
-        InvalidArgumentError: if ``g_bar`` is not square or its determinant
-            is not congruent to 1 mod p.
-    """
-    if g_bar.rows != g_bar.cols:
-        raise InvalidArgumentError("sl_lift_mod_p needs a square matrix")
-    if p < 2 or smallest_prime_factor(p) != p:
-        raise InvalidArgumentError(f"{p} is not prime")
-    if det(g_bar) % p != 1 % p:
-        raise InvalidArgumentError("matrix is not in SL_r mod p")
-    r = g_bar.rows
-    ops = _sl_reduce_to_identity_mod_p(g_bar, p)
-    # ops reduce g_bar to I, so g_bar = E(op_1)^-1 ... E(op_m)^-1.
-    lift = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for i, j, c in reversed(ops):
-        cc = (-c) % p
-        lift[i] = [x + cc * y for x, y in zip(lift[i], lift[j])]
-    out = IntMatrix.from_rows(lift)
-    assert det(out) == 1
-    assert all(
-        (x - y) % p == 0 for rx, ry in zip(out.entries, g_bar.entries) for x, y in zip(rx, ry)
-    )
-    return out
 
 
 def _sl_echelon_ops_mod_p(m: IntMatrix, p: int) -> tuple[list[tuple[int, int, int]], int]:
@@ -410,11 +338,13 @@ def standardize_with_steps(
     while d > 1:
         p = smallest_prime_factor(d)
         ops, rank_p = _sl_echelon_ops_mod_p(work, p)
-        assert rank_p < r, "minor gcd divisible by p forces rank drop mod p"
+        if rank_p >= r:
+            raise AssertionError("minor gcd divisible by p forces rank drop mod p")
         g = _lift_transvections(ops, r, p)
         gw = g @ work
         last = gw.row(r - 1)
-        assert all(x % p == 0 for x in last), "echelon transform must kill the last row mod p"
+        if any(x % p for x in last):
+            raise AssertionError("echelon transform must kill the last row mod p")
         new_rows = [list(gw.row(i)) for i in range(r - 1)]
         new_rows.append([x // p for x in last])
         g_witness = UnimodularWitness.of(g)
@@ -427,9 +357,11 @@ def standardize_with_steps(
         steps.append(("row_divide", r - 1, p))
         work = IntMatrix.from_rows(new_rows)
         nd = minor_gcd(work, r)
-        assert nd == d // p, "minor gcd must drop by exactly p per reduction"
+        if nd != d // p:
+            raise AssertionError("minor gcd must drop by exactly p per reduction")
         d = nd
-    assert transform @ work == m
+    if transform @ work != m:
+        raise AssertionError("standardize must factor its input")
     return transform, work, steps
 
 

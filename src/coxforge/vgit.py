@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Optional, Sequence
 
 from .coxpres import CoxPresentation, MonomialIdeal
@@ -53,9 +53,19 @@ def _require_rank2(p: CoxPresentation) -> None:
         )
 
 
-def _column_directions(p: CoxPresentation) -> list[Vec2]:
-    """Primitive direction of each weight column, in variable order."""
-    return [tuple(primitive_vector(p.weights.column(j))) for j in range(p.num_variables)]
+def _multiple(v: Sequence[int], prim: Vec2) -> Optional[int]:
+    """The integer ``k`` with ``v == k * prim``, or ``None`` if there is none."""
+    axis = 0 if prim[0] != 0 else 1
+    k, rem = divmod(v[axis], prim[axis])
+    if rem or k * prim[1 - axis] != v[1 - axis]:
+        return None
+    return k
+
+
+def _split(at: Sequence[int], cut: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Variables whose wall index is at most ``cut``, and the rest."""
+    before = tuple(j for j, a in enumerate(at) if a <= cut)
+    return before, tuple(j for j, a in enumerate(at) if a > cut)
 
 
 def _support_extremes(dirs: Sequence[Vec2]) -> tuple[Vec2, Vec2]:
@@ -210,52 +220,108 @@ class GameDiagram:
 
 
 # ---------------------------------------------------------------------------
-# chambers and models
+# the sweep: chambers, crossings and cones
 
 
-def _oriented_sweep(p: CoxPresentation) -> list[Vec2]:
-    """The wall sweep, oriented so the input ideal sits in a chamber.
+class _Sweep:
+    """The chamber decomposition of a rank-2 character plane, computed once.
 
-    Both orientations of the support cone are tried; the one in which some
-    chamber's (before, after) variable split equals the input's ordered
-    ideal components wins.  If neither matches (the input ideal is not a
-    two-sided chamber ideal), the sweep placing the first variable's column
-    nearest the start is used, counterclockwise on a tie.
+    ``cols`` are the weight columns and ``dirs`` their primitive directions;
+    ``lo`` and ``hi`` bound the support cone.  ``walls`` are the distinct
+    directions in sweep order, ``at[j]`` is the index of variable ``j``'s
+    wall, and chamber ``i`` lies between walls ``i`` and ``i + 1`` with the
+    irrelevant ideal ``_split(at, i)`` (on-wall columns join the near side).
+
+    Orientation rule: the sweep runs counterclockwise from ``lo``
+    (``orient = 1``) or the reverse way (``orient = -1``).  If the input
+    ideal has two components and some chamber of an orientation splits the
+    variables into exactly those components, that orientation wins,
+    counterclockwise first.  Otherwise the orientation placing the first
+    variable's wall nearer the start wins, counterclockwise on a tie.
+
+    Raises:
+        InvalidArgumentError: if ``p`` does not have rank 2.
+        NotQuasiProjectiveError: if the columns span the whole plane.
     """
-    dirs = _column_directions(p)
-    lo, hi = _support_extremes(dirs)
-    ccw = _sweep_from(dirs, lo)
-    if len(ccw) == 1:
-        return ccw
-    cw = list(reversed(ccw))
-    want = p.irrelevant.components
-    for sweep in (ccw, cw):
-        if len(want) != 2:
-            break
-        pos = {d: i for i, d in enumerate(sweep)}
-        for cut in range(len(sweep) - 1):
-            before = tuple(j for j in range(p.num_variables) if pos[dirs[j]] <= cut)
-            after = tuple(j for j in range(p.num_variables) if pos[dirs[j]] > cut)
-            if before == want[0] and after == want[1]:
-                return sweep
-    first = dirs[0]
-    if ccw.index(first) < cw.index(first):
-        return ccw
-    if cw.index(first) < ccw.index(first):
-        return cw
-    return ccw
+
+    def __init__(self, p: CoxPresentation) -> None:
+        _require_rank2(p)
+        self.p = p
+        self.cols = [p.weights.column(j) for j in range(p.num_variables)]
+        self.dirs = [primitive_vector(c) for c in self.cols]
+        self.lo, self.hi = _support_extremes(self.dirs)
+        walls = _sweep_from(self.dirs, self.lo)
+        pos = {d: i for i, d in enumerate(walls)}
+        at = [pos[d] for d in self.dirs]
+        back = [len(walls) - 1 - a for a in at]
+        want = p.irrelevant.components
+        cuts = range(len(walls) - 1)
+        if any(_split(at, cut) == want for cut in cuts):
+            self.orient = 1
+        elif any(_split(back, cut) == want for cut in cuts):
+            self.orient = -1
+        else:
+            self.orient = -1 if back[0] < at[0] else 1
+        if self.orient < 0:
+            walls.reverse()
+            at = back
+        self.walls = tuple(walls)
+        self.at = at
+        self.chambers = tuple(
+            Chamber(walls[i], walls[i + 1], i) for i in range(len(walls) - 1)
+        )
+
+    def model(self, index: int) -> CoxPresentation:
+        """The presentation whose irrelevant ideal selects chamber ``index``."""
+        return CoxPresentation(
+            variables=self.p.variables,
+            weights=self.p.weights,
+            irrelevant=MonomialIdeal(_split(self.at, index)),
+            stacky=self.p.stacky,
+        )
+
+    def crossing(self, w: Vec2) -> WallCrossing:
+        """The crossing at the primitive ray ``w``, which must be an interior wall."""
+        if w not in self.walls:
+            raise InvalidArgumentError(f"{w} is not a wall of this presentation")
+        if w in (self.walls[0], self.walls[-1]):
+            raise InvalidArgumentError(
+                f"{w} is an extreme wall; use end_behavior for the ends of the game"
+            )
+        on_wall = [j for j, d in enumerate(self.dirs) if d == w]
+        off_wall = [j for j, d in enumerate(self.dirs) if d != w]
+        entries = tuple(self.orient * _det2(self.cols[j], w) for j in off_wall)
+        base_weights = tuple(_multiple(self.cols[j], w) for j in on_wall)
+        total = sum(entries)
+        kind = "Flip" if total > 0 else "AntiFlip" if total < 0 else "Flop"
+        return WallCrossing(w, entries, kind, tuple(on_wall), base_weights)
+
+    def moving(self) -> tuple[Vec2, Vec2]:
+        """Boundary rays of the moving cone (see :func:`cones_rank2`).
+
+        Dropping variable ``j`` loses only a wall index that ``j`` alone
+        holds, so the cone runs from the second-smallest to the
+        second-largest entry of ``at``.
+        """
+        s = sorted(self.at)
+        if s[1] > s[-2]:
+            raise UnsupportedFeatureError(
+                "the moving cone is empty: some divisor meets every model"
+            )
+        return self.walls[s[1]], self.walls[s[-2]]
+
+    @cached_property
+    def enumerator(self) -> _MonomialEnumerator:
+        """The monomial enumerator of ``p``, built on first use."""
+        return _MonomialEnumerator(self)
 
 
 def chambers_rank2(
     p: CoxPresentation,
 ) -> tuple[tuple[Vec2, ...], tuple[Chamber, ...]]:
     """Walls (ordered primitive rays) and the chambers between them."""
-    _require_rank2(p)
-    sweep = _oriented_sweep(p)
-    chambers = tuple(
-        Chamber(sweep[i], sweep[i + 1], i) for i in range(len(sweep) - 1)
-    )
-    return tuple(sweep), chambers
+    sweep = _Sweep(p)
+    return sweep.walls, sweep.chambers
 
 
 def model_at_chamber(p: CoxPresentation, chamber: Chamber) -> CoxPresentation:
@@ -265,20 +331,10 @@ def model_at_chamber(p: CoxPresentation, chamber: Chamber) -> CoxPresentation:
     the first component, the rest the second (on-wall columns join the
     near side).
     """
-    walls, chambers = chambers_rank2(p)
-    if chamber.index >= len(chambers) or chambers[chamber.index] != chamber:
+    sweep = _Sweep(p)
+    if chamber.index >= len(sweep.chambers) or sweep.chambers[chamber.index] != chamber:
         raise InvalidArgumentError(f"{chamber} is not a chamber of this sweep")
-    dirs = _column_directions(p)
-    pos = {d: i for i, d in enumerate(walls)}
-    cut = chamber.index
-    before = tuple(j for j in range(p.num_variables) if pos[dirs[j]] <= cut)
-    after = tuple(j for j in range(p.num_variables) if pos[dirs[j]] > cut)
-    return CoxPresentation(
-        variables=p.variables,
-        weights=p.weights,
-        irrelevant=MonomialIdeal((before, after)),
-        stacky=p.stacky,
-    )
+    return sweep.model(chamber.index)
 
 
 def wall_crossing(p: CoxPresentation, wall: Sequence[int]) -> WallCrossing:
@@ -288,34 +344,7 @@ def wall_crossing(p: CoxPresentation, wall: Sequence[int]) -> WallCrossing:
     positive on the earlier-chamber side; on-wall variables go to
     ``base_vars`` with their multiples of the wall primitive.
     """
-    _require_rank2(p)
-    walls, _ = chambers_rank2(p)
-    w = tuple(primitive_vector(wall))
-    if w not in walls:
-        raise InvalidArgumentError(f"{w} is not a wall of this presentation")
-    idx = walls.index(w)
-    if idx == 0 or idx == len(walls) - 1:
-        raise InvalidArgumentError(
-            f"{w} is an extreme wall; use end_behavior for the ends of the game"
-        )
-    prev = walls[idx - 1]
-    sign = 1 if _det2(w, prev) > 0 else -1
-    dirs = _column_directions(p)
-    on_wall = [j for j in range(p.num_variables) if dirs[j] == w]
-    off_wall = [j for j in range(p.num_variables) if dirs[j] != w]
-    entries = tuple(sign * _det2(w, p.weights.column(j)) for j in off_wall)
-    base_weights = []
-    axis = 0 if w[0] != 0 else 1
-    for j in on_wall:
-        col = p.weights.column(j)
-        base_weights.append(col[axis] // w[axis])
-    total = sum(entries)
-    kind = "Flip" if total > 0 else "AntiFlip" if total < 0 else "Flop"
-    return WallCrossing(w, entries, kind, tuple(on_wall), tuple(base_weights))
-
-
-# ---------------------------------------------------------------------------
-# cones
+    return _Sweep(p).crossing(tuple(primitive_vector(wall)))
 
 
 def cones_rank2(
@@ -330,20 +359,8 @@ def cones_rank2(
     Raises:
         UnsupportedFeatureError: if the moving cone is empty.
     """
-    _require_rank2(p)
-    walls, _ = chambers_rank2(p)
-    dirs = _column_directions(p)
-    pos = {d: i for i, d in enumerate(walls)}
-    start, end = 0, len(walls) - 1
-    for j in range(p.num_variables):
-        others = [pos[dirs[t]] for t in range(p.num_variables) if t != j]
-        start = max(start, min(others))
-        end = min(end, max(others))
-    if start > end:
-        raise UnsupportedFeatureError(
-            "the moving cone is empty: some divisor meets every model"
-        )
-    return (walls[0], walls[-1]), (walls[start], walls[end])
+    sweep = _Sweep(p)
+    return (sweep.walls[0], sweep.walls[-1]), sweep.moving()
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +412,9 @@ class _MonomialEnumerator:
     generators and come in infinite families).
     """
 
-    def __init__(self, p: CoxPresentation) -> None:
-        self.p = p
-        self.cols = [p.weights.column(j) for j in range(p.num_variables)]
-        dirs = _column_directions(p)
-        lo, hi = _support_extremes(dirs)
+    def __init__(self, sweep: _Sweep) -> None:
+        self.cols = sweep.cols
+        lo, hi = sweep.lo, sweep.hi
         rot_lo = (-lo[1], lo[0])
         if hi == (-lo[0], -lo[1]):
             ell = rot_lo
@@ -410,25 +425,15 @@ class _MonomialEnumerator:
             ell = (rot_lo[0] + rot_hi[0], rot_lo[1] + rot_hi[1])
         self.ell = ell
         self.values = [ell[0] * c[0] + ell[1] * c[1] for c in self.cols]
-        assert all(v >= 0 for v in self.values), "functional must be nonnegative"
+        if not all(v >= 0 for v in self.values):
+            raise AssertionError("functional must be nonnegative")
         self.zline = [j for j in range(len(self.cols)) if self.values[j] == 0]
         self.free = [j for j in range(len(self.cols)) if self.values[j] > 0]
         self.lo = lo
         # Multiples of lo carried by each boundary-line column.
-        axis = 0 if lo[0] != 0 else 1
-        self.qs = [self.cols[j][axis] // lo[axis] for j in self.zline]
+        self.qs = [_multiple(self.cols[j], lo) for j in self.zline]
         homog = [s for s in _line_solutions(self.qs, 0) if any(s)]
         self.invariants = _dickson_minimal(homog)
-
-    def degree_zero_invariants(self) -> list[tuple[int, ...]]:
-        """Minimal nonconstant monomials of multidegree (0, 0)."""
-        out = []
-        for s in self.invariants:
-            e = [0] * len(self.cols)
-            for slot, j in enumerate(self.zline):
-                e[j] = s[slot]
-            out.append(tuple(e))
-        return out
 
     def monomials(self, d: tuple[int, int]) -> list[tuple[int, ...]]:
         """Exponent vectors of degree ``d``, modulo invariant divisibility."""
@@ -443,13 +448,8 @@ class _MonomialEnumerator:
                 if rest == (0, 0):
                     out.append(tuple(e))
                 return
-            # rest must be an integer multiple of lo
-            axis = 0 if self.lo[0] != 0 else 1
-            if rest[axis] % self.lo[axis] != 0:
-                return
-            rho = rest[axis] // self.lo[axis]
-            other = 1 - axis
-            if rho * self.lo[other] != rest[other]:
+            rho = _multiple(rest, self.lo)
+            if rho is None:
                 return
             for s in _line_solutions(self.qs, rho):
                 if any(
@@ -489,6 +489,32 @@ def _reversed_key(e: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(e))
 
 
+def _check_level(target: Vec2, degree_bound: int) -> None:
+    """Reject a zero character or a negative degree bound."""
+    if target == (0, 0):
+        raise InvalidArgumentError("character must be nonzero")
+    if degree_bound < 0:
+        raise InvalidArgumentError("degree bound must be nonnegative")
+
+
+def _generators(
+    sweep: _Sweep, target: Vec2, degree_bound: int
+) -> tuple[tuple[int, ...], ...]:
+    """:func:`graded_ring_generators` on the sweep's shared enumerator."""
+    enum = sweep.enumerator
+    gens: list[tuple[int, ...]] = []
+    for k in range(1, degree_bound + 1):
+        d = (k * target[0], k * target[1])
+        level = []
+        for e in enum.monomials(d):
+            if any(all(a <= b for a, b in zip(g, e)) for g in gens):
+                continue
+            level.append(e)
+        level.sort(key=_reversed_key)
+        gens.extend(level)
+    return tuple(gens)
+
+
 def graded_ring_generators(
     p: CoxPresentation, chi: Sequence[int], degree_bound: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -501,22 +527,8 @@ def graded_ring_generators(
     """
     _require_rank2(p)
     target = (int(chi[0]), int(chi[1]))
-    if target == (0, 0):
-        raise InvalidArgumentError("character must be nonzero")
-    if degree_bound < 0:
-        raise InvalidArgumentError("degree bound must be nonnegative")
-    enum = _MonomialEnumerator(p)
-    gens: list[tuple[int, ...]] = []
-    for k in range(1, degree_bound + 1):
-        d = (k * target[0], k * target[1])
-        level = []
-        for e in enum.monomials(d):
-            if any(all(a <= b for a, b in zip(g, e)) for g in gens):
-                continue
-            level.append(e)
-        level.sort(key=_reversed_key)
-        gens.extend(level)
-    return tuple(gens)
+    _check_level(target, degree_bound)
+    return _generators(_Sweep(p), target, degree_bound)
 
 
 def monomial_string(variables: Sequence[str], exponents: Sequence[int]) -> str:
@@ -534,7 +546,7 @@ def monomial_string(variables: Sequence[str], exponents: Sequence[int]) -> str:
 # ends and the full game
 
 
-def _default_bound(p: CoxPresentation, ray: Vec2, dirs: list[Vec2]) -> int:
+def _default_bound(sweep: _Sweep, ray: Vec2) -> int:
     env = os.environ.get("COXFORGE_DEGREE_BOUND")
     if env:
         try:
@@ -546,13 +558,31 @@ def _default_bound(p: CoxPresentation, ray: Vec2, dirs: list[Vec2]) -> int:
         if value < 0:
             raise InvalidArgumentError("COXFORGE_DEGREE_BOUND must be nonnegative")
         return value
-    axis = 0 if ray[0] != 0 else 1
-    on_ray = [
-        p.weights.column(j)[axis] // ray[axis]
-        for j in range(p.num_variables)
-        if dirs[j] == ray
-    ]
+    on_ray = [_multiple(c, ray) for c, d in zip(sweep.cols, sweep.dirs) if d == ray]
     return max(1, max(on_ray, default=1)) + 1
+
+
+def _end(sweep: _Sweep, ray: Vec2, degree_bound: Optional[int]) -> EndBehavior:
+    moving = sweep.moving()
+    if ray not in moving:
+        raise InvalidArgumentError(
+            f"{ray} is not a boundary ray of the moving cone {moving}"
+        )
+    k = sweep.walls.index(ray)
+    if ray == moving[0]:
+        beyond = [j for j, a in enumerate(sweep.at) if a < k]
+    else:
+        beyond = [j for j, a in enumerate(sweep.at) if a > k]
+    bound = degree_bound if degree_bound is not None else _default_bound(sweep, ray)
+    _check_level(ray, bound)
+    gens = _generators(sweep, ray, bound)
+    if not beyond:
+        return EndBehavior("Fibration", ray, gens)
+    if len(beyond) == 1:
+        return EndBehavior(
+            "DivisorialContraction", ray, gens, contracted_variable=beyond[0]
+        )
+    return EndBehavior("Unclassified", ray, gens, beyond_count=len(beyond))
 
 
 def end_behavior(
@@ -569,47 +599,23 @@ def end_behavior(
     """
     _require_rank2(p)
     ray = tuple(primitive_vector(extreme_ray))
-    walls, _ = chambers_rank2(p)
-    _, moving = cones_rank2(p)
-    if ray not in moving:
-        raise InvalidArgumentError(
-            f"{ray} is not a boundary ray of the moving cone {moving}"
-        )
-    dirs = _column_directions(p)
-    pos = {d: i for i, d in enumerate(walls)}
-    ray_pos = pos[ray]
-    if ray == moving[0]:
-        beyond = [j for j in range(p.num_variables) if pos[dirs[j]] < ray_pos]
-    else:
-        beyond = [j for j in range(p.num_variables) if pos[dirs[j]] > ray_pos]
-    bound = degree_bound if degree_bound is not None else _default_bound(p, ray, dirs)
-    gens = graded_ring_generators(p, ray, bound)
-    if not beyond:
-        return EndBehavior("Fibration", ray, gens)
-    if len(beyond) == 1:
-        return EndBehavior(
-            "DivisorialContraction", ray, gens, contracted_variable=beyond[0]
-        )
-    return EndBehavior("Unclassified", ray, gens, beyond_count=len(beyond))
+    return _end(_Sweep(p), ray, degree_bound)
 
 
 def two_ray_game(
     p: CoxPresentation, degree_bound: Optional[int] = None
 ) -> GameDiagram:
     """Every model, crossing and end of the rank-2 game, in sweep order."""
-    walls, chambers = chambers_rank2(p)
-    if not chambers:
+    sweep = _Sweep(p)
+    if not sweep.chambers:
         raise UnsupportedFeatureError(
             "all columns share one direction; there is no chamber to play in"
         )
-    models = tuple(model_at_chamber(p, c) for c in chambers)
-    crossings = tuple(wall_crossing(p, w) for w in walls[1:-1])
-    _, moving = cones_rank2(p)
-    ends = (
-        end_behavior(p, moving[0], degree_bound),
-        end_behavior(p, moving[1], degree_bound),
-    )
-    return GameDiagram(models, crossings, ends, chambers)
+    models = tuple(sweep.model(c.index) for c in sweep.chambers)
+    crossings = tuple(sweep.crossing(w) for w in sweep.walls[1:-1])
+    low, high = sweep.moving()
+    ends = (_end(sweep, low, degree_bound), _end(sweep, high, degree_bound))
+    return GameDiagram(models, crossings, ends, sweep.chambers)
 
 
 def anticanonical_in_moving_interior(
@@ -639,20 +645,12 @@ def anticanonical_in_moving_interior(
         if all(c < 0 for c in cols):
             return total[0] < 0
         raise NotQuasiProjectiveError("rank-1 weights of mixed sign")
-    _require_rank2(p)
-    walls, _ = chambers_rank2(p)
-    _, moving = cones_rank2(p)
-    mlo, mhi = moving
+    sweep = _Sweep(p)
+    mlo, mhi = sweep.moving()
     v = (total[0], total[1])
     if mlo == mhi:
         return False  # a single ray has empty interior
-    # Sweep orientation: sign of any consecutive non-antipodal wall pair.
-    orient = 0
-    for i in range(len(walls) - 1):
-        d = _det2(walls[i], walls[i + 1])
-        if d != 0:
-            orient = 1 if d > 0 else -1
-            break
+    o = sweep.orient
     if mhi == (-mlo[0], -mlo[1]):
-        return orient * _det2(mlo, v) > 0
-    return orient * _det2(mlo, v) > 0 and orient * _det2(v, mhi) > 0
+        return o * _det2(mlo, v) > 0
+    return o * _det2(mlo, v) > 0 and o * _det2(v, mhi) > 0

@@ -1,5 +1,6 @@
 """Text formats and the command-line interface."""
 
+import ast
 import json
 import os
 import subprocess
@@ -351,3 +352,20 @@ class TestEntryPoints:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("internal error:")
+
+    def test_package_has_no_assert_statements(self):
+        # ``python -O`` strips ``assert``; invariant checks must raise instead.
+        package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "coxforge")
+        found = []
+        for dirpath, _, names in os.walk(package):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    path = os.path.join(dirpath, name)
+                    with open(path, encoding="utf-8") as fh:
+                        tree = ast.parse(fh.read(), filename=path)
+                    found += [
+                        f"{name}:{node.lineno}"
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.Assert)
+                    ]
+        assert found == []

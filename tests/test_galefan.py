@@ -1,5 +1,8 @@
 """Gale duality, fans, weighted bundles, and star subdivision."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from coxforge.coxpres import CoxPresentation, MonomialIdeal, well_form
@@ -12,6 +15,7 @@ from coxforge.errors import (
 )
 from coxforge.galefan import (
     Fan,
+    _solve_in_cone,
     WeightedBundleSpec,
     fan_from_presentation,
     gale_dual,
@@ -20,7 +24,7 @@ from coxforge.galefan import (
     weighted_bundle_fan,
     weights_from_rays,
 )
-from coxforge.intlattice import IntMatrix, smith_diagonal
+from coxforge.intlattice import IntMatrix, primitive_vector, rank, smith_diagonal
 
 M = lambda rows: IntMatrix(tuple(tuple(r) for r in rows))
 
@@ -264,3 +268,76 @@ class TestStarSubdivision:
             )
         )
         assert set(rebuilt.max_cones) == set(out.max_cones)
+
+
+def gauss_jordan_solve_in_cone(rays, cone, w):
+    """Cone coefficients by Fraction Gauss-Jordan on ``[R | w]`` (test oracle)."""
+    d, k = len(w), len(cone)
+    aug = [
+        [Fraction(rays[i][row]) for i in cone] + [Fraction(w[row])]
+        for row in range(d)
+    ]
+    pivots = []
+    prow = 0
+    for col in range(k):
+        pr = next((i for i in range(prow, d) if aug[i][col] != 0), None)
+        if pr is None:
+            continue
+        aug[prow], aug[pr] = aug[pr], aug[prow]
+        pivot = aug[prow][col]
+        aug[prow] = [x / pivot for x in aug[prow]]
+        for i in range(d):
+            if i != prow and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[prow])]
+        pivots.append((prow, col))
+        prow += 1
+    if len(pivots) != k:
+        return None
+    if any(aug[i][k] != 0 for i in range(prow, d)):
+        return None
+    coeffs = [Fraction(0)] * k
+    for row, col in pivots:
+        coeffs[col] = aug[row][k]
+    if any(c < 0 for c in coeffs):
+        return None
+    return tuple(coeffs)
+
+
+class TestSolveInCone:
+    def test_matches_gauss_jordan_oracle(self):
+        rng = random.Random(17)
+        outcomes = {"inside": 0, "negative": 0, "off_span": 0}
+        checked = 0
+        while checked < 800:
+            d = rng.randint(2, 5)
+            k = rng.randint(1, d)
+            rays = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k + 2)]
+            cone = sorted(rng.sample(range(k + 2), k))
+            if rank(IntMatrix(tuple(rays[i] for i in cone))) != k:
+                continue  # Fan admits simplicial cones only
+            if rng.random() < 0.7:
+                lo = 0 if rng.random() < 0.5 else -2
+                c = [rng.randint(lo, 3) for _ in cone]
+                w = tuple(
+                    sum(ci * rays[i][t] for ci, i in zip(c, cone)) for t in range(d)
+                )
+            else:
+                w = tuple(rng.randint(-3, 3) for _ in range(d))
+            if not any(w):
+                continue
+            w = primitive_vector(w)
+            got = _solve_in_cone(rays, cone, w)
+            assert got == gauss_jordan_solve_in_cone(rays, cone, w)
+            if got is not None:
+                assert all(
+                    sum(ci * rays[i][t] for ci, i in zip(got, cone)) == w[t]
+                    for t in range(d)
+                )
+                outcomes["inside"] += 1
+            elif rank(IntMatrix(tuple(rays[i] for i in cone) + (w,))) == k:
+                outcomes["negative"] += 1
+            else:
+                outcomes["off_span"] += 1
+            checked += 1
+        assert min(outcomes.values()) > 50

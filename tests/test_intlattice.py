@@ -20,7 +20,6 @@ from coxforge.intlattice import (
     primitive_vector,
     rank,
     require_standard,
-    sl_lift_mod_p,
     smith_diagonal,
     smith_transforms,
     standardize,
@@ -253,27 +252,3 @@ class TestKernelAndPrimitive:
         with pytest.raises(InvalidArgumentError):
             primitive_vector((0, 0))
 
-
-class TestSlLift:
-    def test_lift_reduces_back_and_has_det_one(self):
-        rng = random.Random(8)
-        for p in (2, 3, 5, 7):
-            for _ in range(30):
-                n = rng.randint(1, 4)
-                # random invertible matrix mod p with det 1: build from
-                # transvections, which sl_lift_mod_p must invert exactly
-                g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-                for _ in range(6):
-                    i, j = rng.randrange(n), rng.randrange(n)
-                    if i == j:
-                        continue
-                    c = rng.randrange(p)
-                    for t in range(n):
-                        g[i][t] = (g[i][t] + c * g[j][t]) % p
-                lifted = sl_lift_mod_p(M(g), p)
-                assert det(lifted) == 1
-                assert all(
-                    (lifted.entries[i][j] - g[i][j]) % p == 0
-                    for i in range(n)
-                    for j in range(n)
-                )

@@ -1,13 +1,23 @@
 """Rank-2 variation of GIT: chambers, crossings, ends, and the two-ray game."""
 
 import os
+import random
+from collections import Counter
+from functools import cmp_to_key
 
 import pytest
 
+from coxforge import vgit
 from coxforge.coxpres import CoxPresentation, MonomialIdeal
-from coxforge.errors import InvalidArgumentError, NotQuasiProjectiveError
-from coxforge.intlattice import IntMatrix
+from coxforge.errors import (
+    CoxforgeError,
+    InvalidArgumentError,
+    NotQuasiProjectiveError,
+    UnsupportedFeatureError,
+)
+from coxforge.intlattice import IntMatrix, primitive_vector
 from coxforge.vgit import (
+    Chamber,
     anticanonical_in_moving_interior,
     chambers_rank2,
     cones_rank2,
@@ -215,3 +225,159 @@ class TestDegenerateAndErrors:
     def test_explicit_bound_argument(self):
         game = two_ray_game(F2, degree_bound=2)
         assert len(game.models) == 2
+
+
+# ---------------------------------------------------------------------------
+# the sweep against the pairwise implementation it replaced
+
+
+def _det2(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def oracle_sweep(p):
+    """Walls, orientation branch and moving cone, computed pairwise (test oracle).
+
+    Returns ``(walls, branch, moving, dirs)``; ``moving`` is None when the
+    moving cone is empty.  Raises NotQuasiProjectiveError like the library.
+    """
+    n = p.num_variables
+    dirs = [tuple(primitive_vector(p.weights.column(j))) for j in range(n)]
+    distinct = list(dict.fromkeys(dirs))
+    lo = next((e for e in distinct if all(_det2(e, d) >= 0 for d in distinct)), None)
+    hi = next((e for e in distinct if all(_det2(e, d) <= 0 for d in distinct)), None)
+    if lo is None or hi is None:
+        raise NotQuasiProjectiveError("weight columns span the whole plane")
+    anti = (-lo[0], -lo[1])
+    middle = [d for d in distinct if d != lo and d != anti]
+    middle.sort(key=cmp_to_key(lambda a, b: -1 if _det2(a, b) > 0 else 1))
+    ccw = [lo] + middle + ([anti] if anti in distinct else [])
+    cw = list(reversed(ccw))
+    want = p.irrelevant.components
+    walls = branch = None
+    for name, sweep in (("match-ccw", ccw), ("match-cw", cw)):
+        if len(want) != 2 or walls is not None:
+            break
+        pos = {d: i for i, d in enumerate(sweep)}
+        for cut in range(len(sweep) - 1):
+            before = tuple(j for j in range(n) if pos[dirs[j]] <= cut)
+            after = tuple(j for j in range(n) if pos[dirs[j]] > cut)
+            if before == want[0] and after == want[1]:
+                walls, branch = sweep, name
+                break
+    if walls is None:
+        if ccw.index(dirs[0]) < cw.index(dirs[0]):
+            walls, branch = ccw, "nearest-ccw"
+        elif cw.index(dirs[0]) < ccw.index(dirs[0]):
+            walls, branch = cw, "nearest-cw"
+        else:
+            walls, branch = ccw, "tie"
+    pos = {d: i for i, d in enumerate(walls)}
+    start, end = 0, len(walls) - 1
+    for j in range(n):
+        others = [pos[dirs[t]] for t in range(n) if t != j]
+        start = max(start, min(others))
+        end = min(end, max(others))
+    moving = None if start > end else (walls[start], walls[end])
+    return tuple(walls), branch, moving, dirs
+
+
+def random_rank2(rng):
+    """A random rank-2 presentation with a one- or two-component ideal."""
+    while True:
+        n = rng.randint(2, 6)
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2))
+        order = list(range(n))
+        rng.shuffle(order)
+        if rng.random() < 0.3:
+            comps = (tuple(order[: rng.randint(1, n)]),)
+        else:
+            c = rng.randint(1, n - 1)
+            comps = (tuple(order[:c]), tuple(order[c:]))
+        try:
+            return CoxPresentation(
+                tuple("abcdef"[:n]), IntMatrix(rows), MonomialIdeal(comps), True
+            )
+        except CoxforgeError:
+            continue
+
+
+class TestSweepOracle:
+    def test_sweep_matches_pairwise_oracle(self):
+        rng = random.Random(20)
+        branches = Counter()
+        empty_moving = 0
+        while sum(branches.values()) < 400:
+            p = random_rank2(rng)
+            if rng.random() < 0.5:
+                # Re-seat the ideal on a chamber of either orientation so the
+                # matching branches are hit as often as the fallbacks.
+                try:
+                    sweep, _, _, dirs = oracle_sweep(p)
+                except NotQuasiProjectiveError:
+                    continue
+                if len(sweep) < 2:
+                    continue
+                if rng.random() < 0.5:
+                    sweep = sweep[::-1]
+                cut = rng.randrange(len(sweep) - 1)
+                pos = {d: i for i, d in enumerate(sweep)}
+                before = tuple(j for j, d in enumerate(dirs) if pos[d] <= cut)
+                after = tuple(j for j, d in enumerate(dirs) if pos[d] > cut)
+                p = CoxPresentation(
+                    p.variables, p.weights, MonomialIdeal((before, after)), True
+                )
+            try:
+                walls, branch, moving, dirs = oracle_sweep(p)
+            except NotQuasiProjectiveError:
+                with pytest.raises(NotQuasiProjectiveError, match="whole plane"):
+                    chambers_rank2(p)
+                continue
+            branches[branch] += 1
+            assert chambers_rank2(p) == (
+                walls,
+                tuple(Chamber(walls[i], walls[i + 1], i) for i in range(len(walls) - 1)),
+            )
+            pos = {d: i for i, d in enumerate(walls)}
+            for i in range(len(walls) - 1):
+                before = tuple(j for j, d in enumerate(dirs) if pos[d] <= i)
+                after = tuple(j for j, d in enumerate(dirs) if pos[d] > i)
+                model = model_at_chamber(p, Chamber(walls[i], walls[i + 1], i))
+                assert model.irrelevant == MonomialIdeal((before, after))
+            for i in range(1, len(walls) - 1):
+                w = walls[i]
+                sign = 1 if _det2(w, walls[i - 1]) > 0 else -1
+                expected = tuple(
+                    sign * _det2(w, p.weights.column(j))
+                    for j, d in enumerate(dirs)
+                    if d != w
+                )
+                assert wall_crossing(p, w).type_vector == expected
+            if moving is None:
+                empty_moving += 1
+                with pytest.raises(UnsupportedFeatureError, match="moving cone is empty"):
+                    cones_rank2(p)
+            else:
+                assert cones_rank2(p) == ((walls[0], walls[-1]), moving)
+        assert set(branches) == {
+            "match-ccw", "match-cw", "nearest-ccw", "nearest-cw", "tie"
+        }
+        assert empty_moving > 0
+
+    def test_game_builds_one_sweep_and_one_enumerator(self, monkeypatch):
+        built = Counter()
+
+        def counted(cls):
+            def init(self, *args):
+                built[cls.__name__] += 1
+                cls.__init__(self, *args)
+
+            return type(cls.__name__, (cls,), {"__init__": init})
+
+        monkeypatch.setattr(vgit, "_Sweep", counted(vgit._Sweep))
+        monkeypatch.setattr(
+            vgit, "_MonomialEnumerator", counted(vgit._MonomialEnumerator)
+        )
+        game = two_ray_game(F)
+        assert len(game.models) == 4
+        assert built == {"_Sweep": 1, "_MonomialEnumerator": 1}
