@@ -293,13 +293,11 @@ def _end_text(p: CoxPresentation, end) -> str:
     ray = f"({end.ray[0]},{end.ray[1]})"
     if end.kind == "Fibration":
         return f"end at {ray}: Fibration, target generators {{{gens}}}"
-    if end.kind == "DivisorialContraction":
-        var = p.variables[end.contracted_variable]
-        return (
-            f"end at {ray}: DivisorialContraction of {var}, "
-            f"target generators {{{gens}}}"
-        )
-    return f"end at {ray}: Unclassified ({end.beyond_count} columns beyond)"
+    var = p.variables[end.contracted_variable]
+    return (
+        f"end at {ray}: DivisorialContraction of {var}, "
+        f"target generators {{{gens}}}"
+    )
 
 
 def _end_payload(p: CoxPresentation, end) -> dict:
@@ -313,8 +311,6 @@ def _end_payload(p: CoxPresentation, end) -> dict:
     }
     if end.contracted_variable is not None:
         out["contracted_variable"] = p.variables[end.contracted_variable]
-    if end.kind == "Unclassified":
-        out["beyond_count"] = end.beyond_count
     return out
 
 

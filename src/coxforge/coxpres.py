@@ -29,11 +29,10 @@ from .intlattice import (
     delete_column,
     hnf_canonical,
     hnf_transform,
-    is_standard,
-    minor_gcd,
     rank,
     require_standard,
     smallest_prime_factor,
+    smith_transforms,
     standardize_with_steps,
 )
 
@@ -378,14 +377,24 @@ def _replay(matrix: IntMatrix, steps: Sequence[Step]) -> IntMatrix:
 # well-formedness
 
 
+def _deleted_minor_gcds(a: IntMatrix) -> list[int]:
+    """Per column ``k``: minor gcd of standard ``a`` less ``k`` (0 if rank drops)."""
+    _, _, v = smith_transforms(a)  # the last n - r columns of v span ker(a)
+    return [gcd(*row[a.rows :]) for row in v.entries]
+
+
 def is_well_formed(a: IntMatrix) -> bool:
     """True when every column-deleted submatrix of ``a`` is standard.
+
+    Equivalently every Gale dual row ``b_k`` is primitive, as one Smith form
+    shows for all ``k``: ``Z^r / a_k(Z^(n-1)) = Z^n / ({x_k = 0} + ker a)``,
+    which is ``Z / gcd(b_k)``.
 
     Raises:
         MustStandardizeFirstError: if ``a`` itself is not standard.
     """
     require_standard(a, "weight matrix")
-    return all(is_standard(delete_column(a, k)) for k in range(a.cols))
+    return all(g == 1 for g in _deleted_minor_gcds(a))
 
 
 def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
@@ -394,11 +403,9 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
     Returns the model and the elementary steps.  Deterministic: columns are
     repaired in increasing index order, primes in increasing order, and the
     result is Hermite-canonical.  Already-canonical well-formed input gives
-    an empty step list.
+    an empty step list.  ``m`` must have full row rank.
     """
     r = m.rows
-    if rank(m) != r:
-        raise RankError("weight matrix must have full row rank")
     steps: list[Step] = []
 
     _, work, raw = standardize_with_steps(m)
@@ -408,12 +415,10 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
         else:
             steps.append(RowDivide(record[1], record[2]))
 
+    gcds = _deleted_minor_gcds(work)  # each repair keeps ``work`` standard
     for k in range(work.cols):
-        while True:
-            ak = delete_column(work, k)
-            d = minor_gcd(ak, r) if ak.cols >= r else 0
-            if d == 1:
-                break
+        while gcds[k] != 1:
+            d = gcds[k]
             if d == 0:
                 raise UnsupportedFeatureError(
                     f"deleting column {k} drops the rank; the presentation has "
@@ -423,7 +428,7 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
             # Echelon the deleted matrix mod q by transvections; since q
             # divides every maximal minor the rank drops mod q, so the last
             # row of g @ work is divisible by q away from column k.
-            ops, _ = _sl_echelon_ops_mod_p(ak, q)
+            ops, _ = _sl_echelon_ops_mod_p(delete_column(work, k), q)
             if ops:
                 g = _lift_transvections(ops, r, q)
                 witness = UnimodularWitness.of(g)
@@ -444,8 +449,8 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
                 work.entries[: r - 1]
                 + (tuple(e // q for e in work.entries[r - 1]),)
             )
-            nd = minor_gcd(delete_column(work, k), r)
-            if nd * q != d:
+            gcds = _deleted_minor_gcds(work)
+            if gcds[k] * q != d:
                 raise AssertionError("column repair must shave exactly one prime")
 
     h, witness = hnf_transform(work)

@@ -345,11 +345,7 @@ def fan_from_presentation(p: CoxPresentation) -> Fan:
     b = gale_dual(p.weights)
     rays = b.entries
     for ray in rays:
-        if all(e == 0 for e in ray):
-            raise UnsupportedFeatureError(
-                "a variable has zero ray: the quotient is not a fan quotient"
-            )
-        if gcd(*(abs(e) for e in ray)) != 1:
+        if gcd(*ray) != 1:
             raise AssertionError("well-formed data gives primitive rays")
     n = p.num_variables
     cones = []

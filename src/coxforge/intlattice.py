@@ -136,14 +136,13 @@ def integer_inverse(m: IntMatrix) -> IntMatrix:
     n = m.rows
     if m.cols != n:
         raise InvalidArgumentError("inverse of a non-square matrix")
-    d = det(m)
-    if d not in (1, -1):
-        raise InvalidArgumentError(f"matrix with determinant {d} is not unimodular")
-    # The Hermite form of a unimodular matrix is the identity, so the row
-    # transform that reaches it is the inverse.
+    # A square matrix is unimodular exactly when its Hermite form is the
+    # identity, and then the row transform that reaches it is the inverse.
     h, u = _kernels.hnf(m.to_lists())
     if h != IntMatrix.identity(n).to_lists():
-        raise AssertionError("Hermite form of a unimodular matrix is not the identity")
+        raise InvalidArgumentError(
+            f"matrix with determinant {det(m)} is not unimodular"
+        )
     return IntMatrix.from_rows(u)
 
 

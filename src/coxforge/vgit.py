@@ -175,16 +175,16 @@ class EndBehavior:
     """What happens at a boundary ray of the moving cone.
 
     ``Fibration`` when no column lies beyond the ray (the ray also bounds
-    the effective cone), ``DivisorialContraction`` when exactly one does,
-    ``Unclassified`` otherwise.  Target generators describe the image of
-    the associated map as monomial exponent vectors.
+    the effective cone), ``DivisorialContraction`` when exactly one does
+    (never more).  Target generators describe the image of the associated
+    map as monomial exponent vectors.
     """
 
     kind: str
     ray: Vec2
     target_generators: tuple[tuple[int, ...], ...] = ()
     contracted_variable: Optional[int] = None
-    beyond_count: int = 0
+    beyond_count: int = 0  # always 0 from _end; kept for perfbench digests
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ray", tuple(int(e) for e in self.ray))
@@ -193,14 +193,12 @@ class EndBehavior:
             "target_generators",
             tuple(tuple(int(e) for e in g) for g in self.target_generators),
         )
-        if self.kind not in ("Fibration", "DivisorialContraction", "Unclassified"):
+        if self.kind not in ("Fibration", "DivisorialContraction"):
             raise InvalidArgumentError(f"unknown end kind {self.kind!r}")
         if self.kind == "DivisorialContraction" and self.contracted_variable is None:
             raise InvalidArgumentError("a contraction must name its variable")
         if self.kind == "Fibration" and self.beyond_count != 0:
             raise InvalidArgumentError("a fibration has no columns beyond the ray")
-        if self.kind == "Unclassified" and self.beyond_count < 2:
-            raise InvalidArgumentError("unclassified ends have at least two columns beyond")
 
 
 @dataclass(frozen=True)
@@ -578,11 +576,11 @@ def _end(sweep: _Sweep, ray: Vec2, degree_bound: Optional[int]) -> EndBehavior:
     gens = _generators(sweep, ray, bound)
     if not beyond:
         return EndBehavior("Fibration", ray, gens)
-    if len(beyond) == 1:
-        return EndBehavior(
-            "DivisorialContraction", ray, gens, contracted_variable=beyond[0]
-        )
-    return EndBehavior("Unclassified", ray, gens, beyond_count=len(beyond))
+    if len(beyond) > 1:
+        raise AssertionError("the moving cone leaves at most one column beyond an end")
+    return EndBehavior(
+        "DivisorialContraction", ray, gens, contracted_variable=beyond[0]
+    )
 
 
 def end_behavior(
@@ -594,7 +592,8 @@ def end_behavior(
 
     No column strictly beyond the ray means the map at the ray is a
     fibration (the ray also bounds the effective cone); exactly one column
-    beyond means its divisor is contracted; more are reported unclassified.
+    beyond means its divisor is contracted; the moving cone spans the
+    second-smallest to second-largest wall, so no more lie beyond.
     Target generators come from :func:`graded_ring_generators` at the ray.
     """
     _require_rank2(p)

@@ -1,7 +1,10 @@
 """Presentations, monomial ideals, well-forming and its certificates."""
 
+import random
+
 import pytest
 
+from coxforge import _kernels
 from coxforge.coxpres import (
     ColumnScale,
     CoxPresentation,
@@ -9,6 +12,7 @@ from coxforge.coxpres import (
     RowDivide,
     RowTransform,
     WellFormingCertificate,
+    _well_form_matrix,
     coarse_moduli,
     is_well_formed,
     minimal_transversals,
@@ -17,10 +21,25 @@ from coxforge.coxpres import (
     well_form,
     wps_well_form,
 )
-from coxforge.errors import InvalidArgumentError, RankError
+from coxforge.errors import (
+    InvalidArgumentError,
+    MustStandardizeFirstError,
+    RankError,
+    UnsupportedFeatureError,
+)
 from coxforge.intlattice import (
     IntMatrix,
     UnimodularWitness,
+    _lift_transvections,
+    _sl_echelon_ops_mod_p,
+    delete_column,
+    hnf_transform,
+    is_standard,
+    minor_gcd,
+    rank,
+    require_standard,
+    smallest_prime_factor,
+    standardize_with_steps,
     unimodular_row_equivalent,
 )
 
@@ -213,6 +232,121 @@ class TestWellForm:
         q = coarse_moduli(F2_STACKY)
         assert not q.stacky
         assert q.weights == F2_TARGET
+
+
+# ---------------------------------------------------------------------------
+# column-deletion oracles: one Smith form per deleted column
+
+
+def is_well_formed_by_deletion(a):
+    """Every submatrix with one column deleted is standard."""
+    require_standard(a, "weight matrix")
+    return all(is_standard(delete_column(a, k)) for k in range(a.cols))
+
+
+def well_form_matrix_by_deletion(m):
+    """Column repair driven by the minor gcd of each deleted submatrix."""
+    r = m.rows
+    steps = []
+    _, work, raw = standardize_with_steps(m)
+    for record in raw:
+        if record[0] == "row_transform":
+            steps.append(RowTransform(record[1]))
+        else:
+            steps.append(RowDivide(record[1], record[2]))
+    for k in range(work.cols):
+        while True:
+            ak = delete_column(work, k)
+            d = minor_gcd(ak, r) if ak.cols >= r else 0
+            if d == 1:
+                break
+            if d == 0:
+                raise UnsupportedFeatureError(
+                    f"deleting column {k} drops the rank; the presentation has "
+                    "no well-formed model of the same rank"
+                )
+            q = smallest_prime_factor(d)
+            ops, _ = _sl_echelon_ops_mod_p(ak, q)
+            if ops:
+                g = _lift_transvections(ops, r, q)
+                steps.append(RowTransform(UnimodularWitness.of(g)))
+                work = g @ work
+            steps.append(ColumnScale(k, q, r - 1))
+            work = IntMatrix(
+                tuple(
+                    tuple(e * q if t == k else e for t, e in enumerate(row))
+                    for row in work.entries
+                )
+            )
+            steps.append(RowDivide(r - 1, q))
+            work = IntMatrix(
+                work.entries[: r - 1]
+                + (tuple(e // q for e in work.entries[r - 1]),)
+            )
+    h, witness = hnf_transform(work)
+    if h != work:
+        steps.append(RowTransform(witness))
+        work = h
+    return work, tuple(steps)
+
+
+def outcome(f, *args):
+    """A call's result, or the class and message of what it raised."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def random_weights(rng):
+    """Small r x n matrix, sometimes with a torsion row or column."""
+    r = rng.randint(1, 4)
+    n = rng.randint(r, r + 5)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    if rng.random() < 0.3:
+        f = rng.choice((2, 3, 5))
+        rows[rng.randrange(r)] = [f * e for e in rows[rng.randrange(r)]]
+    if rng.random() < 0.3:
+        f, j = rng.choice((2, 3, 5)), rng.randrange(n)
+        for row in rows:
+            row[j] *= f
+    return M(rows)
+
+
+class TestWellFormednessByGaleRows:
+    def test_matches_column_deletion_oracles(self):
+        rng = random.Random(2013)
+        goldens = ([[3, 3, 3, 0, -2], [1, 1, 1, 2, 0]],
+                   [[3, 0, -2, -6, -1, -1], [0, 9, 8, 6, 1, 1]],
+                   [[1, 2, 2]], [[2, 2, 4]], [[3]], [[1, 0], [0, 1]])
+        cases = [M(rows) for rows in goldens]
+        cases += [random_weights(rng) for _ in range(1500)]
+        seen = {"True": 0, "False": 0, "nonstandard": 0, "repaired": 0, "rank drop": 0}
+        for m in cases:
+            got = outcome(is_well_formed, m)
+            assert got == outcome(is_well_formed_by_deletion, m), m
+            if got[0] is MustStandardizeFirstError:
+                seen["nonstandard"] += 1
+            elif got[0] == "ok":
+                seen[str(got[1])] += 1
+            if rank(m) != m.rows:
+                continue
+            got = outcome(_well_form_matrix, m)
+            assert got == outcome(well_form_matrix_by_deletion, m), m
+            if got[0] is UnsupportedFeatureError:
+                seen["rank drop"] += 1
+            elif any(isinstance(s, ColumnScale) for s in got[1][1]):
+                seen["repaired"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_one_smith_form_per_check(self, monkeypatch):
+        calls = []
+        real = _kernels.smith
+        monkeypatch.setattr(
+            _kernels, "smith", lambda rows: calls.append(1) or real(rows)
+        )
+        assert is_well_formed(M([[1, 1, 1, 0, -2], [0, 0, 0, 1, 1]]))
+        assert len(calls) == 2  # is it standard, then its Gale rows
 
 
 class TestWpsWellForm:

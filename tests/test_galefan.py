@@ -199,6 +199,18 @@ class TestFanFromPresentation:
         with pytest.raises(InvalidArgumentError):
             fan_from_presentation(p)
 
+    def test_zero_gale_row_rejected_as_not_well_formed(self):
+        # ker [[1,0,0],[0,1,1]] is spanned by (0,1,-1): x has a zero ray
+        p = CoxPresentation(
+            ("x", "y", "z"),
+            M([[1, 0, 0], [0, 1, 1]]),
+            MonomialIdeal(((0,), (1, 2))),
+            True,
+        )
+        assert gale_dual(p.weights).entries[0] == (0,)
+        with pytest.raises(InvalidArgumentError, match="must be well-formed"):
+            fan_from_presentation(p)
+
     def test_generator_covering_all_variables_rejected(self):
         p = CoxPresentation(
             ("x", "y"),

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from coxforge import _kernels
 from coxforge.errors import InvalidArgumentError, MustStandardizeFirstError, RankError
 from coxforge.intlattice import (
     IntMatrix,
@@ -113,8 +114,26 @@ class TestDeterminantAndInverse:
         assert inv @ g == IntMatrix.identity(2)
 
     def test_integer_inverse_requires_unimodular(self):
-        with pytest.raises(InvalidArgumentError):
-            integer_inverse(M([[2, 0], [0, 1]]))
+        for rows, d in (
+            ([[2, 0], [0, 1]], 2),
+            ([[1, 2], [2, 4]], 0),
+            ([[0, 1, 0], [3, 0, 0], [0, 0, 1]], -3),
+        ):
+            with pytest.raises(
+                InvalidArgumentError,
+                match=rf"^matrix with determinant {d} is not unimodular$",
+            ):
+                integer_inverse(M(rows))
+
+    def test_integer_inverse_of_unimodular_needs_no_determinant(self, monkeypatch):
+        calls = []
+        real = _kernels.det
+        monkeypatch.setattr(
+            _kernels, "det", lambda rows: calls.append(1) or real(rows)
+        )
+        g = M([[2, 1], [1, 1]])
+        assert g @ integer_inverse(g) == IntMatrix.identity(2)
+        assert calls == []
 
     def test_integer_inverse_matches_gauss_jordan_oracle(self):
         rng = random.Random(2013)

@@ -7,7 +7,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from coxforge import vgit
+from coxforge import _kernels, vgit
 from coxforge.coxpres import CoxPresentation, MonomialIdeal
 from coxforge.errors import (
     CoxforgeError,
@@ -15,6 +15,7 @@ from coxforge.errors import (
     NotQuasiProjectiveError,
     UnsupportedFeatureError,
 )
+from coxforge.galefan import WeightedBundleSpec, weighted_bundle_fan
 from coxforge.intlattice import IntMatrix, primitive_vector
 from coxforge.vgit import (
     Chamber,
@@ -208,6 +209,11 @@ class TestDegenerateAndErrors:
         with pytest.raises(InvalidArgumentError):
             end_behavior(F2, (-2, 1))
 
+    def test_unclassified_end_rejected(self):
+        # at most one column lies beyond an end of the moving cone
+        with pytest.raises(InvalidArgumentError, match="unknown end kind"):
+            vgit.EndBehavior("Unclassified", (1, 0), beyond_count=2)
+
     def test_rank_must_be_two(self):
         p1 = P("ab", [[1, 1]], [(0, 1)])
         with pytest.raises(InvalidArgumentError):
@@ -381,3 +387,17 @@ class TestSweepOracle:
         game = two_ray_game(F)
         assert len(game.models) == 4
         assert built == {"_Sweep": 1, "_MonomialEnumerator": 1}
+
+    def test_game_validates_each_model_with_three_smith_forms(self, monkeypatch):
+        # rank, standardness and the Gale rows of each chamber model
+        _, pres = weighted_bundle_fan(
+            WeightedBundleSpec(n=1, m=24, omega=tuple(range(25)), a=(1,) * 25)
+        )
+        calls = []
+        real = _kernels.smith
+        monkeypatch.setattr(
+            _kernels, "smith", lambda rows: calls.append(1) or real(rows)
+        )
+        game = two_ray_game(pres)
+        assert len(game.models) == 25
+        assert len(calls) <= 3 * len(game.models)
