@@ -24,15 +24,13 @@ from .errors import (
 from .intlattice import (
     IntMatrix,
     UnimodularWitness,
+    _SmithForm,
     _lift_transvections,
     _sl_echelon_ops_mod_p,
     delete_column,
     hnf_canonical,
     hnf_transform,
-    rank,
-    require_standard,
     smallest_prime_factor,
-    smith_transforms,
     standardize_with_steps,
 )
 
@@ -208,7 +206,8 @@ class CoxPresentation:
             raise InvalidArgumentError(
                 f"{len(names)} variables but {self.weights.cols} weight columns"
             )
-        if rank(self.weights) != self.weights.rows:
+        form = _SmithForm.of(self.weights)
+        if form.rank != self.weights.rows:
             raise RankError("weight matrix must have full row rank")
         for j in range(self.weights.cols):
             if all(e == 0 for e in self.weights.column(j)):
@@ -224,7 +223,7 @@ class CoxPresentation:
             )
         if not isinstance(self.stacky, bool):
             raise InvalidArgumentError("stacky must be a bool")
-        if not self.stacky and not is_well_formed(self.weights):
+        if not self.stacky and not _well_formed(form):
             raise InvalidArgumentError(
                 "weights are not well-formed; pass stacky=True for the stack"
             )
@@ -377,12 +376,6 @@ def _replay(matrix: IntMatrix, steps: Sequence[Step]) -> IntMatrix:
 # well-formedness
 
 
-def _deleted_minor_gcds(a: IntMatrix) -> list[int]:
-    """Per column ``k``: minor gcd of standard ``a`` less ``k`` (0 if rank drops)."""
-    _, _, v = smith_transforms(a)  # the last n - r columns of v span ker(a)
-    return [gcd(*row[a.rows :]) for row in v.entries]
-
-
 def is_well_formed(a: IntMatrix) -> bool:
     """True when every column-deleted submatrix of ``a`` is standard.
 
@@ -393,8 +386,13 @@ def is_well_formed(a: IntMatrix) -> bool:
     Raises:
         MustStandardizeFirstError: if ``a`` itself is not standard.
     """
-    require_standard(a, "weight matrix")
-    return all(g == 1 for g in _deleted_minor_gcds(a))
+    return _well_formed(_SmithForm.of(a))
+
+
+def _well_formed(form: _SmithForm) -> bool:
+    """:func:`is_well_formed` of the matrix whose Smith form is ``form``."""
+    form.require_standard("weight matrix")
+    return all(g == 1 for g in form.gale_row_gcds())
 
 
 def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
@@ -415,7 +413,7 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
         else:
             steps.append(RowDivide(record[1], record[2]))
 
-    gcds = _deleted_minor_gcds(work)  # each repair keeps ``work`` standard
+    gcds = _SmithForm.of(work).gale_row_gcds()  # repairs keep ``work`` standard
     for k in range(work.cols):
         while gcds[k] != 1:
             d = gcds[k]
@@ -449,7 +447,7 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
                 work.entries[: r - 1]
                 + (tuple(e // q for e in work.entries[r - 1]),)
             )
-            gcds = _deleted_minor_gcds(work)
+            gcds = _SmithForm.of(work).gale_row_gcds()
             if gcds[k] * q != d:
                 raise AssertionError("column repair must shave exactly one prime")
 
@@ -503,15 +501,12 @@ def wps_well_form(weights: Sequence[int]) -> tuple[int, ...]:
     changed = True
     while changed:
         changed = False
-        g = gcd(*a) if len(a) > 1 else a[0]
+        g = gcd(*a)
         if g > 1:
             a = [w // g for w in a]
             changed = True
         for i in range(len(a)):
-            others = [a[j] for j in range(len(a)) if j != i]
-            if not others:
-                continue
-            h = gcd(*others) if len(others) > 1 else others[0]
+            h = gcd(*(a[j] for j in range(len(a)) if j != i))
             if h > 1:
                 a = [w if j == i else w // h for j, w in enumerate(a)]
                 changed = True
@@ -542,7 +537,7 @@ def verify_certificate(
 
 
 def _column_gcds(m: IntMatrix) -> tuple[int, ...]:
-    return tuple(gcd(*(abs(e) for e in m.column(j))) if m.rows > 1 else abs(m.entries[0][j]) for j in range(m.cols))
+    return tuple(gcd(*m.column(j)) for j in range(m.cols))
 
 
 def _ideal_signature(ideal: MonomialIdeal, n: int) -> list[tuple[int, ...]]:

@@ -18,7 +18,7 @@ from . import _kernels
 from .coxpres import (
     CoxPresentation,
     MonomialIdeal,
-    is_well_formed,
+    _well_formed,
     minimal_transversals,
     wps_well_form,
 )
@@ -30,12 +30,11 @@ from .errors import (
 )
 from .intlattice import (
     IntMatrix,
+    _SmithForm,
     hnf_canonical,
     kernel_basis,
     primitive_vector,
     rank,
-    require_standard,
-    smith_diagonal,
 )
 
 __all__ = [
@@ -74,7 +73,7 @@ class Fan:
                 raise InvalidArgumentError(f"ray {ray} does not live in Z^{d}")
             if all(e == 0 for e in ray):
                 raise InvalidArgumentError("zero vector cannot be a ray")
-            if gcd(*(abs(e) for e in ray)) != 1:
+            if gcd(*ray) != 1:
                 raise InvalidArgumentError(f"ray {ray} is not primitive")
         if len(set(rays)) != len(rays):
             raise InvalidArgumentError("rays must be distinct")
@@ -152,8 +151,9 @@ def gale_dual(a: IntMatrix) -> IntMatrix:
     of the result is an identity block) and the basis is fixed by Hermite
     normalisation.  ``r = n`` gives a matrix with zero columns.
     """
-    require_standard(a, "weight matrix")
-    return kernel_basis(a)
+    form = _SmithForm.of(a)
+    form.require_standard("weight matrix")
+    return form.kernel_basis()
 
 
 def weights_from_rays(b: IntMatrix) -> IntMatrix:
@@ -170,12 +170,17 @@ def weights_from_rays(b: IntMatrix) -> IntMatrix:
     """
     if b.cols == 0:
         raise InvalidArgumentError("rays live in a zero-dimensional lattice")
-    if rank(b) != b.cols:
+    form = _SmithForm.of(b)
+    if form.rank != b.cols:
         raise RankError("rays must span the ambient space")
-    if any(s != 1 for s in smith_diagonal(b)[: b.cols]):
+    if any(s != 1 for s in form.diag):
         raise UnsupportedFeatureError(
             "rays span a finite-index sublattice: the class group has "
             "torsion, which rank-r torus weights cannot express"
+        )
+    if b.rows == b.cols:
+        raise InvalidArgumentError(
+            "rays are linearly independent: no relations, so no weight matrix"
         )
     relations = kernel_basis(b.transpose())
     return hnf_canonical(relations.transpose())
@@ -337,12 +342,13 @@ def fan_from_presentation(p: CoxPresentation) -> Fan:
         UnsupportedFeatureError: when some cone would be non-simplicial, or
             a generator involves every variable (no cone left).
     """
-    if not is_well_formed(p.weights):
+    form = _SmithForm.of(p.weights)
+    if not _well_formed(form):
         raise InvalidArgumentError(
             "presentation must be well-formed to have primitive rays; "
             "run well_form first"
         )
-    b = gale_dual(p.weights)
+    b = form.kernel_basis()  # its Gale dual, the weights being standard
     rays = b.entries
     for ray in rays:
         if gcd(*ray) != 1:

@@ -21,7 +21,7 @@ The central notions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from coxforge import _kernels
 from coxforge.errors import (
@@ -146,10 +146,53 @@ def integer_inverse(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(u)
 
 
+@dataclass(frozen=True)
+class _SmithForm:
+    """One Smith normal form of a matrix, read for every invariant it gives.
+
+    ``diag`` holds the elementary divisors and ``v`` the column transform of
+    ``u @ m @ v = diag`` (``u`` is dropped), so the columns of ``v`` past the
+    rank span the integer kernel of ``m``.
+    """
+
+    rows: int
+    diag: tuple[int, ...]
+    v: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, m: IntMatrix) -> "_SmithForm":
+        diag, _, v = _kernels.smith(m.to_lists())
+        return cls(m.rows, tuple(diag), tuple(map(tuple, v)))
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for s in self.diag if s)
+
+    @property
+    def is_standard(self) -> bool:
+        return self.diag[: self.rows] == (1,) * self.rows
+
+    def require_standard(self, what: str) -> None:
+        if not self.is_standard:
+            raise MustStandardizeFirstError(f"{what} is not standard; run standardize first")
+
+    def gale_row_gcds(self) -> list[int]:
+        """Per column ``k``: minor gcd of the standard matrix less ``k`` (0 if rank drops)."""
+        return [gcd(*row[self.rows :]) for row in self.v]  # gcds of the Gale dual rows
+
+    def kernel_basis(self) -> IntMatrix:
+        rk, n = self.rank, len(self.v)
+        # Column-style Hermite of the kernel columns: row-style on their transpose.
+        h, _ = _kernels.hnf(list(zip(*self.v))[rk:])
+        basis_cols = [row for row in h if any(row)]
+        if len(basis_cols) != n - rk:
+            raise AssertionError("kernel basis must have one column per free direction")
+        return IntMatrix(tuple(tuple(c[i] for c in basis_cols) for i in range(n)))
+
+
 def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """Elementary divisors ``s_1 | s_2 | ...`` (nonnegative, may end in 0)."""
-    diag, _, _ = _kernels.smith(m.to_lists())
-    return tuple(diag)
+    return _SmithForm.of(m).diag
 
 
 def smith_transforms(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
@@ -160,9 +203,7 @@ def smith_transforms(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatri
 
 def rank(m: IntMatrix) -> int:
     """Rank over Q (equivalently the number of nonzero elementary divisors)."""
-    if m.cols == 0:
-        return 0
-    return sum(1 for s in smith_diagonal(m) if s)
+    return _SmithForm.of(m).rank
 
 
 def minor_gcd(m: IntMatrix, r: int) -> int:
@@ -177,10 +218,7 @@ def minor_gcd(m: IntMatrix, r: int) -> int:
     """
     if r < 1 or r > min(m.rows, m.cols):
         raise InvalidArgumentError(f"no {r} x {r} minors in a {m.rows} x {m.cols} matrix")
-    out = 1
-    for s in smith_diagonal(m)[:r]:
-        out *= s
-    return out
+    return prod(_SmithForm.of(m).diag[:r])
 
 
 def is_standard(m: IntMatrix) -> bool:
@@ -188,10 +226,7 @@ def is_standard(m: IntMatrix) -> bool:
 
     Equivalently: full row rank and the gcd of maximal minors is 1.
     """
-    if m.cols < m.rows:
-        return False
-    diag = smith_diagonal(m)
-    return len(diag) >= m.rows and all(s == 1 for s in diag[: m.rows])
+    return _SmithForm.of(m).is_standard
 
 
 def delete_column(m: IntMatrix, k: int) -> IntMatrix:
@@ -223,31 +258,18 @@ def unimodular_row_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel lattice of ``m``, one generator per column.
 
-    The kernel of an integer matrix is saturated, so the returned
-    ``cols x (cols - rank)`` matrix always has all-ones Smith form.  Columns
-    are canonicalised by a column-style Hermite reduction, making the basis
-    choice deterministic.
+    The generators are the columns past the rank of the unimodular Smith
+    transform ``v`` (``u @ m @ v`` diagonal).  The kernel is saturated, so
+    the returned ``cols x (cols - rank)`` matrix always has all-ones Smith
+    form.  Columns are canonicalised by a column-style Hermite reduction,
+    making the basis choice deterministic.
     """
-    diag, _, v = smith_transforms(m)
-    rk = sum(1 for s in diag if s)
-    n = m.cols
-    d = n - rk
-    if d == 0:
-        return IntMatrix(tuple(() for _ in range(n)))
-    cols = [v.column(j) for j in range(rk, n)]
-    # Column-style Hermite: run the row-style reduction on the transpose.
-    h, _ = _kernels.hnf([list(c) for c in cols])
-    basis_cols = [row for row in h if any(row)]
-    if len(basis_cols) != d:
-        raise AssertionError("kernel basis must have one column per free direction")
-    return IntMatrix(tuple(tuple(c[i] for c in basis_cols) for i in range(n)))
+    return _SmithForm.of(m).kernel_basis()
 
 
 def primitive_vector(v: tuple[int, ...]) -> tuple[int, ...]:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise InvalidArgumentError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -328,12 +350,13 @@ def standardize_with_steps(
         RankError: if ``m`` does not have full row rank.
     """
     r = m.rows
-    if rank(m) < r:
+    form = _SmithForm.of(m)
+    if form.rank < r:
         raise RankError("standardize needs full row rank")
     transform = IntMatrix.identity(r)
     work = m
     steps: list[tuple] = []
-    d = minor_gcd(work, r)
+    d = prod(form.diag[:r])
     while d > 1:
         p = smallest_prime_factor(d)
         ops, rank_p = _sl_echelon_ops_mod_p(work, p)
@@ -375,5 +398,4 @@ def standardize(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 def require_standard(m: IntMatrix, what: str = "matrix") -> None:
     """Raise :class:`MustStandardizeFirstError` unless ``m`` is standard."""
-    if not is_standard(m):
-        raise MustStandardizeFirstError(f"{what} is not standard; run standardize first")
+    _SmithForm.of(m).require_standard(what)

@@ -82,7 +82,7 @@ def normalize_type(q: QuotientSingularity) -> QuotientSingularity:
     divides every weight collapses to the smooth type ``1/1(0,...,0)``.
     Idempotent.
     """
-    g = gcd(q.index, *q.weights) if q.weights else q.index
+    g = gcd(q.index, *q.weights)
     index = q.index // g
     weights = tuple(sorted((w // g) % index if index > 1 else 0 for w in q.weights))
     return QuotientSingularity(index, weights)

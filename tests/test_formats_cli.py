@@ -220,6 +220,15 @@ class TestCliGeometry:
         code, out, _ = run_cli(capsys, "fan2cox", str(fanfile))
         assert code == 0 and "irrelevant" in out
 
+    def test_fan2cox_independent_rays_exits_2(self, capsys, tmp_path):
+        fanfile = tmp_path / "A2.fan"
+        fanfile.write_text("dim 2\nrays 2\n1 0\n0 1\ncones 1\n1 2\n")
+        code, out, err = run_cli(capsys, "fan2cox", str(fanfile))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: rays are linearly independent: no relations, so no weight matrix\n"
+        )
+
     def test_subdivide(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "cox2fan", example("F3.cox"))
         fanfile = tmp_path / "F3.fan"
@@ -368,4 +377,25 @@ class TestEntryPoints:
                         for node in ast.walk(tree)
                         if isinstance(node, ast.Assert)
                     ]
+        assert found == []
+
+    def test_only_intlattice_runs_smith_forms(self):
+        # Other modules read Smith invariants through ``intlattice``'s
+        # ``_SmithForm``; the package ``__init__`` only re-exports names.
+        package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "coxforge")
+        smith = {"smith", "smith_transforms", "smith_diagonal"}
+        found = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py") or name in ("intlattice.py", "_kernels.py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in smith
+                or isinstance(node, ast.Attribute) and node.attr in smith
+                or isinstance(node, ast.ImportFrom) and name != "__init__.py"
+                and any(alias.name in smith for alias in node.names)
+            ]
         assert found == []

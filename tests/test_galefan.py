@@ -110,6 +110,11 @@ class TestWeightsFromRays:
         with pytest.raises(UnsupportedFeatureError):
             weights_from_rays(M([[2]]))
 
+    def test_independent_rays_have_no_weights(self):
+        # A^2: its two rays satisfy no relation for a torus to grade by
+        with pytest.raises(InvalidArgumentError, match="^rays are linearly independent"):
+            weights_from_rays(M([[1, 0], [0, 1]]))
+
 
 class TestWeightedBundleSpec:
     def test_full_tuple_stripped(self):

@@ -1,0 +1,241 @@
+"""One Smith form per matrix value.
+
+Rank, standardness, the Gale-row gcds and the kernel of a matrix are all
+read from one Smith normal form.  The oracles below are the earlier
+bodies that ran a separate Smith form for each read, written against
+``smith_transforms`` alone; on random weight matrices every validation
+outcome (value, or error class and message) must agree with them.  The
+pins count the Smith forms a few paper calls make.
+"""
+
+import random
+from math import gcd
+
+import pytest
+
+from coxforge import _kernels
+from coxforge.coxpres import CoxPresentation, MonomialIdeal, is_well_formed, well_form
+from coxforge.errors import (
+    InvalidArgumentError,
+    MustStandardizeFirstError,
+    RankError,
+    UnsupportedFeatureError,
+)
+from coxforge.galefan import fan_from_presentation, gale_dual, weights_from_rays
+from coxforge.intlattice import (
+    IntMatrix,
+    UnimodularWitness,
+    _lift_transvections,
+    _sl_echelon_ops_mod_p,
+    hnf_canonical,
+    kernel_basis,
+    smallest_prime_factor,
+    smith_transforms,
+    standardize_with_steps,
+)
+
+from test_acceptance import F2_STACKY, F2_WF, P
+
+M = lambda rows: IntMatrix(tuple(tuple(r) for r in rows))
+
+
+# ---------------------------------------------------------------------------
+# separate-call oracles: one Smith form per read
+
+
+def rank_by_smith(m):
+    return 0 if m.cols == 0 else sum(1 for s in smith_transforms(m)[0] if s)
+
+
+def minor_gcd_by_smith(m, r):
+    out = 1
+    for s in smith_transforms(m)[0][:r]:
+        out *= s
+    return out
+
+
+def require_standard_by_smith(m, what):
+    if m.cols < m.rows or smith_transforms(m)[0][: m.rows] != (1,) * m.rows:
+        raise MustStandardizeFirstError(f"{what} is not standard; run standardize first")
+
+
+def is_well_formed_by_smith(a):
+    require_standard_by_smith(a, "weight matrix")
+    v = smith_transforms(a)[2]  # the last n - r columns of v span ker(a)
+    return all(gcd(*row[a.rows :]) == 1 for row in v.entries)
+
+
+def validate_presentation_by_smith(m, stacky):
+    """The weight checks of ``CoxPresentation``, in their order."""
+    if rank_by_smith(m) != m.rows:
+        raise RankError("weight matrix must have full row rank")
+    for j in range(m.cols):
+        if all(e == 0 for e in m.column(j)):
+            raise InvalidArgumentError(f"column {j} of the weights is zero")
+    if not stacky and not is_well_formed_by_smith(m):
+        raise InvalidArgumentError(
+            "weights are not well-formed; pass stacky=True for the stack"
+        )
+
+
+def kernel_basis_by_smith(m):
+    diag, _, v = smith_transforms(m)
+    rk = sum(1 for s in diag if s)
+    n = m.cols
+    if rk == n:
+        return IntMatrix(tuple(() for _ in range(n)))
+    h, _ = _kernels.hnf([list(v.column(j)) for j in range(rk, n)])
+    basis_cols = [row for row in h if any(row)]
+    return IntMatrix(tuple(tuple(c[i] for c in basis_cols) for i in range(n)))
+
+
+def gale_dual_by_smith(a):
+    require_standard_by_smith(a, "weight matrix")
+    return kernel_basis_by_smith(a)
+
+
+def weights_from_rays_by_smith(b):
+    if b.cols == 0:
+        raise InvalidArgumentError("rays live in a zero-dimensional lattice")
+    if rank_by_smith(b) != b.cols:
+        raise RankError("rays must span the ambient space")
+    if any(s != 1 for s in smith_transforms(b)[0][: b.cols]):
+        raise UnsupportedFeatureError(
+            "rays span a finite-index sublattice: the class group has "
+            "torsion, which rank-r torus weights cannot express"
+        )
+    if b.rows == b.cols:
+        raise InvalidArgumentError(
+            "rays are linearly independent: no relations, so no weight matrix"
+        )
+    return hnf_canonical(kernel_basis_by_smith(b.transpose()).transpose())
+
+
+def standardize_with_steps_by_smith(m):
+    r = m.rows
+    if rank_by_smith(m) < r:
+        raise RankError("standardize needs full row rank")
+    transform = IntMatrix.identity(r)
+    work = m
+    steps = []
+    d = minor_gcd_by_smith(work, r)
+    while d > 1:
+        p = smallest_prime_factor(d)
+        ops, _ = _sl_echelon_ops_mod_p(work, p)
+        g = _lift_transvections(ops, r, p)
+        gw = g @ work
+        new_rows = [list(gw.row(i)) for i in range(r - 1)]
+        new_rows.append([x // p for x in gw.row(r - 1)])
+        g_witness = UnimodularWitness.of(g)
+        scale = IntMatrix.from_rows(
+            [[(p if i == r - 1 else 1) if i == j else 0 for j in range(r)] for i in range(r)]
+        )
+        transform = transform @ g_witness.inverse @ scale
+        if g != IntMatrix.identity(r):
+            steps.append(("row_transform", g_witness))
+        steps.append(("row_divide", r - 1, p))
+        work = IntMatrix.from_rows(new_rows)
+        d = minor_gcd_by_smith(work, r)
+    return transform, work, steps
+
+
+# ---------------------------------------------------------------------------
+# differential check
+
+
+def outcome(f, *args):
+    """A call's result, or the class and message of what it raised."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def presentation(m, stacky):
+    names = tuple(f"v{j}" for j in range(m.cols))
+    CoxPresentation(names, m, MonomialIdeal(((0,),)), stacky)
+
+
+def random_weights(rng):
+    """Small matrix, sometimes rank-deficient or narrow, with a zero column or torsion."""
+    r = rng.randint(1, 3)
+    n = rng.randint(max(1, r - 1), r + 4)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    roll = rng.random()
+    if roll < 0.15:
+        rows[-1] = [2 * e for e in rows[0]]
+    elif roll < 0.3:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    elif roll < 0.5:
+        f = rng.choice((2, 3))
+        rows[rng.randrange(r)] = [f * e for e in rows[rng.randrange(r)]]
+    return M(rows)
+
+
+def kind(got):
+    if got[0] == "ok":
+        return "well-formed"
+    if got[0] is RankError:
+        return "rank-deficient"
+    if got[0] is MustStandardizeFirstError:
+        return "not standard"
+    return "zero column" if "is zero" in got[1] else "standard, not well-formed"
+
+
+class TestAgainstSeparateSmithForms:
+    def test_validation_outcomes_match(self):
+        rng = random.Random(2013)
+        seen = dict.fromkeys(
+            ("rank-deficient", "zero column", "not standard",
+             "standard, not well-formed", "well-formed"), 0
+        )
+        for _ in range(1200):
+            m = random_weights(rng)
+            for stacky in (True, False):
+                got = outcome(presentation, m, stacky)
+                assert got == outcome(validate_presentation_by_smith, m, stacky), m
+            seen[kind(got)] += 1
+            for f, oracle in (
+                (is_well_formed, is_well_formed_by_smith),
+                (gale_dual, gale_dual_by_smith),
+                (kernel_basis, kernel_basis_by_smith),
+                (standardize_with_steps, standardize_with_steps_by_smith),
+            ):
+                assert outcome(f, m) == outcome(oracle, m), (f.__name__, m)
+            b = m.transpose()  # the columns as rays
+            assert outcome(weights_from_rays, b) == outcome(weights_from_rays_by_smith, b), b
+        assert min(seen.values()) >= 50, seen
+
+
+# ---------------------------------------------------------------------------
+# Smith-call pins
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    calls = []
+    real = _kernels.smith
+    monkeypatch.setattr(_kernels, "smith", lambda rows: calls.append(1) or real(rows))
+    return calls
+
+
+class TestOneSmithFormPerValue:
+    def test_presentation_validates_with_one(self, smith_calls):
+        P("xyztu", [[1, 1, 1, 0, -2], [0, 0, 0, 1, 1]], [(0, 1, 2), (3, 4)])
+        assert len(smith_calls) == 1  # rank, standardness and Gale rows
+
+    def test_gale_dual_with_one(self, smith_calls):
+        gale_dual(F2_WF.weights)
+        assert len(smith_calls) == 1  # standardness and the kernel
+
+    def test_fan_from_presentation(self, smith_calls):
+        fan = fan_from_presentation(F2_WF)
+        # one for the weights, then Fan's rank checks: the rays, each cone
+        assert len(fan.max_cones) == 6
+        assert len(smith_calls) == 1 + 1 + 6
+
+    def test_well_form(self, smith_calls):
+        well_form(F2_STACKY)
+        assert len(smith_calls) <= 6

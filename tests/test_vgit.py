@@ -388,7 +388,7 @@ class TestSweepOracle:
         assert len(game.models) == 4
         assert built == {"_Sweep": 1, "_MonomialEnumerator": 1}
 
-    def test_game_validates_each_model_with_three_smith_forms(self, monkeypatch):
+    def test_game_validates_each_model_with_one_smith_form(self, monkeypatch):
         # rank, standardness and the Gale rows of each chamber model
         _, pres = weighted_bundle_fan(
             WeightedBundleSpec(n=1, m=24, omega=tuple(range(25)), a=(1,) * 25)
@@ -400,4 +400,4 @@ class TestSweepOracle:
         )
         game = two_ray_game(pres)
         assert len(game.models) == 25
-        assert len(calls) <= 3 * len(game.models)
+        assert len(calls) <= len(game.models)
