@@ -73,16 +73,14 @@ def minimal_transversals(
             raise InvalidArgumentError("cannot hit an empty set")
     family.sort(key=lambda s: (len(s), sorted(s)))
     found: set[frozenset[int]] = set()
-
-    def extend(partial: frozenset[int], todo: list[frozenset[int]]) -> None:
+    stack = [(frozenset(), family)]
+    while stack:
+        partial, todo = stack.pop()
         todo = [s for s in todo if not (s & partial)]
         if not todo:
             found.add(partial)
-            return
-        for e in sorted(todo[0]):
-            extend(partial | {e}, todo[1:])
-
-    extend(frozenset(), family)
+            continue
+        stack.extend((partial | {e}, todo[1:]) for e in sorted(todo[0]))
     minimal = [
         t for t in found if not any(u < t for u in found)
     ]

@@ -32,7 +32,6 @@ from .intlattice import (
     IntMatrix,
     _SmithForm,
     hnf_canonical,
-    kernel_basis,
     primitive_vector,
     rank,
 )
@@ -170,7 +169,7 @@ def weights_from_rays(b: IntMatrix) -> IntMatrix:
     """
     if b.cols == 0:
         raise InvalidArgumentError("rays live in a zero-dimensional lattice")
-    form = _SmithForm.of(b)
+    form = _SmithForm.of(b.transpose())  # the Smith diagonal of b as well
     if form.rank != b.cols:
         raise RankError("rays must span the ambient space")
     if any(s != 1 for s in form.diag):
@@ -182,8 +181,7 @@ def weights_from_rays(b: IntMatrix) -> IntMatrix:
         raise InvalidArgumentError(
             "rays are linearly independent: no relations, so no weight matrix"
         )
-    relations = kernel_basis(b.transpose())
-    return hnf_canonical(relations.transpose())
+    return hnf_canonical(form.kernel_basis().transpose())
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ full picture exactly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
-from typing import Optional, Sequence
+from operator import mul
+from typing import Iterator, Optional, Sequence
 
 from .coxpres import CoxPresentation, MonomialIdeal
 from .errors import (
@@ -72,8 +72,8 @@ def _support_extremes(dirs: Sequence[Vec2]) -> tuple[Vec2, Vec2]:
     """Boundary rays of the cone spanned by ``dirs`` (span at most a halfplane).
 
     Returns ``(lo, hi)`` with every direction counterclockwise of ``lo`` and
-    clockwise of ``hi`` within an angle of at most pi; ``lo = hi`` when all
-    directions coincide, ``hi = -lo`` for an exact halfplane.
+    clockwise of ``hi`` within an angle of at most pi; ``hi = -lo`` for an
+    exact halfplane.  The weights have full rank, so ``lo != hi``.
 
     Raises:
         NotQuasiProjectiveError: when the directions span the whole plane
@@ -90,11 +90,6 @@ def _support_extremes(dirs: Sequence[Vec2]) -> tuple[Vec2, Vec2]:
         raise NotQuasiProjectiveError(
             "weight columns span the whole plane; no quasi-projective chamber"
         )
-    if len(distinct) == 1:
-        return distinct[0], distinct[0]
-    if lo == hi:
-        # Happens only when all directions are equal, handled above.
-        raise NotQuasiProjectiveError("degenerate support cone")
     return lo, hi
 
 
@@ -365,49 +360,50 @@ def cones_rank2(
 # graded ring generators
 
 
-def _dickson_minimal(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Componentwise-minimal elements of a finite set of exponent vectors."""
-    out = []
-    for v in vectors:
-        if not any(
-            u != v and all(a <= b for a, b in zip(u, v)) for u in vectors
-        ):
-            out.append(v)
-    return out
+def _budgeted(
+    weights: Sequence[int], budget: int, exact: bool
+) -> Iterator[tuple[int, ...]]:
+    """Nonnegative ``e`` with ``sum(w * e) <= budget``, or ``== budget`` if ``exact``.
 
-
-def _line_solutions(qs: list[int], rho: int) -> list[tuple[int, ...]]:
-    """All small nonnegative solutions of ``sum q_i e_i = rho``.
-
-    The search bound covers every solution that is not componentwise above
-    a homogeneous solution, which is all the callers keep.
+    Every weight must be positive, which makes the search finite.  The last
+    exponent takes the slack the others leave: all of it when ``exact``,
+    any part of it otherwise.
     """
-    if not qs:
-        return [()] if rho == 0 else []
-    top = max(abs(q) for q in qs)
-    bound = abs(rho) + len(qs) * top * top + top + 1
-    out: list[tuple[int, ...]] = []
+    if not weights:
+        if budget == 0 or (budget > 0 and not exact):
+            yield ()
+        return
+    last = weights[-1]
+    for head in _budgeted(weights[:-1], budget, False):
+        slack = budget - sum(map(mul, weights, head))
+        if not exact:
+            for cnt in range(slack // last + 1):
+                yield head + (cnt,)
+        elif slack % last == 0:
+            yield head + (slack // last,)
 
-    def rec(i: int, partial: list[int], acc: int) -> None:
-        if i == len(qs):
-            if acc == rho:
-                out.append(tuple(partial))
-            return
-        for e in range(bound + 1):
-            rec(i + 1, partial + [e], acc + qs[i] * e)
 
-    rec(0, [], 0)
-    return out
+def _divides(divisors: Sequence[tuple[int, ...]], e: tuple[int, ...]) -> bool:
+    """Whether some exponent vector in ``divisors`` lies componentwise below ``e``."""
+    return any(all(a <= b for a, b in zip(g, e)) for g in divisors)
 
 
 class _MonomialEnumerator:
     """Exact enumeration of monomials of a given multidegree.
 
-    A strictly positive functional on the non-degenerate columns bounds
-    the search; columns on the boundary line of a halfplane support are
-    handled by a one-dimensional Diophantine solve, with monomials
-    divisible by a degree-zero invariant discarded (they are never minimal
-    generators and come in infinite families).
+    The functional ``ell`` is positive on every column off the boundary
+    line of the support and zero on the line, so the off-line exponents of
+    a monomial of degree ``d`` solve ``sum (ell . c_j) e_j = ell . d``.  The
+    columns on the line (only a halfplane support has them) are ``q_i *
+    lo`` with ``q_i`` of either sign, and their exponents solve ``sum q_i
+    e_i = rho`` for the rest ``rho * lo`` of the degree.  That equation has
+    infinitely many solutions, but those above no degree-zero invariant are
+    capped: if a positive-side exponent reaches ``max |q^-|`` and a
+    negative-side one reaches ``max q^+``, ``e`` lies above the invariant of
+    that pair of columns.  So one whole side keeps every exponent below
+    that bound, and the positive side sums to at most ``max(rho, 0) +
+    len(qs) * max q^+ * max |q^-|``.  :meth:`monomials` yields every
+    solution under the cap; callers discard those above an invariant.
     """
 
     def __init__(self, sweep: _Sweep) -> None:
@@ -416,71 +412,51 @@ class _MonomialEnumerator:
         rot_lo = (-lo[1], lo[0])
         if hi == (-lo[0], -lo[1]):
             ell = rot_lo
-        elif lo == hi:
-            ell = lo  # single direction: its own dot product is positive
         else:
             rot_hi = (hi[1], -hi[0])
             ell = (rot_lo[0] + rot_hi[0], rot_lo[1] + rot_hi[1])
         self.ell = ell
-        self.values = [ell[0] * c[0] + ell[1] * c[1] for c in self.cols]
-        if not all(v >= 0 for v in self.values):
+        values = [ell[0] * c[0] + ell[1] * c[1] for c in self.cols]
+        if not all(v >= 0 for v in values):
             raise AssertionError("functional must be nonnegative")
-        self.zline = [j for j in range(len(self.cols)) if self.values[j] == 0]
-        self.free = [j for j in range(len(self.cols)) if self.values[j] > 0]
         self.lo = lo
+        free = [j for j, v in enumerate(values) if v > 0]
         # Multiples of lo carried by each boundary-line column.
-        self.qs = [_multiple(self.cols[j], lo) for j in self.zline]
-        homog = [s for s in _line_solutions(self.qs, 0) if any(s)]
-        self.invariants = _dickson_minimal(homog)
+        qs = {j: _multiple(self.cols[j], lo) for j, v in enumerate(values) if v == 0}
+        plus = [j for j, q in qs.items() if q > 0]
+        minus = [j for j, q in qs.items() if q < 0]
+        self.free_values = [values[j] for j in free]
+        self.free_xs = [self.cols[j][0] for j in free]
+        self.free_ys = [self.cols[j][1] for j in free]
+        self.plus_qs = [qs[j] for j in plus]
+        self.minus_qs = [-qs[j] for j in minus]
+        top_plus, top_minus = max(self.plus_qs, default=0), max(self.minus_qs, default=0)
+        self.spread = len(qs) * top_plus * top_minus
+        self.order = free + plus + minus
+        self.invariants: list[tuple[int, ...]] = []
+        for e in sorted(self.monomials((0, 0)), key=sum):
+            if any(e) and not _divides(self.invariants, e):
+                self.invariants.append(e)
 
-    def monomials(self, d: tuple[int, int]) -> list[tuple[int, ...]]:
-        """Exponent vectors of degree ``d``, modulo invariant divisibility."""
-        budget = self.ell[0] * d[0] + self.ell[1] * d[1]
-        if budget < 0:
-            return []
-        out: list[tuple[int, ...]] = []
+    def monomials(self, d: Vec2) -> Iterator[tuple[int, ...]]:
+        """Exponent vectors of degree ``d``: all above no invariant, some above one."""
         n = len(self.cols)
-
-        def line_part(e: list[int], rest: tuple[int, int]) -> None:
-            if not self.zline:
-                if rest == (0, 0):
-                    out.append(tuple(e))
-                return
+        budget = self.ell[0] * d[0] + self.ell[1] * d[1]
+        for f in _budgeted(self.free_values, budget, True):
+            rest = (
+                d[0] - sum(map(mul, f, self.free_xs)),
+                d[1] - sum(map(mul, f, self.free_ys)),
+            )
             rho = _multiple(rest, self.lo)
             if rho is None:
-                return
-            for s in _line_solutions(self.qs, rho):
-                if any(
-                    all(a <= b for a, b in zip(inv, s)) for inv in self.invariants
-                ):
-                    continue
-                full = list(e)
-                for slot, j in enumerate(self.zline):
-                    full[j] = s[slot]
-                out.append(tuple(full))
-
-        def rec(i: int, e: list[int], remaining: tuple[int, int], slack: int) -> None:
-            if i == len(self.free):
-                line_part(e, remaining)
-                return
-            j = self.free[i]
-            step = self.values[j]
-            top = slack // step
-            for cnt in range(top + 1):
-                e[j] = cnt
-                rec(
-                    i + 1,
-                    e,
-                    (
-                        remaining[0] - cnt * self.cols[j][0],
-                        remaining[1] - cnt * self.cols[j][1],
-                    ),
-                    slack - cnt * step,
-                )
-            e[j] = 0
-
-        rec(0, [0] * n, d, budget)
-        return out
+                continue
+            for pos in _budgeted(self.plus_qs, max(rho, 0) + self.spread, False):
+                excess = sum(map(mul, self.plus_qs, pos)) - rho
+                for neg in _budgeted(self.minus_qs, excess, True):
+                    e = [0] * n
+                    for j, c in zip(self.order, f + pos + neg):
+                        e[j] = c
+                    yield tuple(e)
 
 
 def _reversed_key(e: tuple[int, ...]) -> tuple[int, ...]:
@@ -500,17 +476,13 @@ def _generators(
 ) -> tuple[tuple[int, ...], ...]:
     """:func:`graded_ring_generators` on the sweep's shared enumerator."""
     enum = sweep.enumerator
-    gens: list[tuple[int, ...]] = []
+    gens = list(enum.invariants)
     for k in range(1, degree_bound + 1):
         d = (k * target[0], k * target[1])
-        level = []
-        for e in enum.monomials(d):
-            if any(all(a <= b for a, b in zip(g, e)) for g in gens):
-                continue
-            level.append(e)
+        level = [e for e in enum.monomials(d) if not _divides(gens, e)]
         level.sort(key=_reversed_key)
         gens.extend(level)
-    return tuple(gens)
+    return tuple(gens[len(enum.invariants) :])
 
 
 def graded_ring_generators(
@@ -545,17 +517,6 @@ def monomial_string(variables: Sequence[str], exponents: Sequence[int]) -> str:
 
 
 def _default_bound(sweep: _Sweep, ray: Vec2) -> int:
-    env = os.environ.get("COXFORGE_DEGREE_BOUND")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"COXFORGE_DEGREE_BOUND must be an integer, got {env!r}"
-            ) from None
-        if value < 0:
-            raise InvalidArgumentError("COXFORGE_DEGREE_BOUND must be nonnegative")
-        return value
     on_ray = [_multiple(c, ray) for c, d in zip(sweep.cols, sweep.dirs) if d == ray]
     return max(1, max(on_ray, default=1)) + 1
 
@@ -606,10 +567,6 @@ def two_ray_game(
 ) -> GameDiagram:
     """Every model, crossing and end of the rank-2 game, in sweep order."""
     sweep = _Sweep(p)
-    if not sweep.chambers:
-        raise UnsupportedFeatureError(
-            "all columns share one direction; there is no chamber to play in"
-        )
     models = tuple(sweep.model(c.index) for c in sweep.chambers)
     crossings = tuple(sweep.crossing(w) for w in sweep.walls[1:-1])
     low, high = sweep.moving()

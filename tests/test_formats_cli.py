@@ -171,13 +171,6 @@ class TestCliBasics:
         code, out, err = run_cli(capsys, "standardize", "/dev/null")
         assert code == 2 and "error:" in err
 
-    def test_non_integer_degree_bound_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("COXFORGE_DEGREE_BOUND", "abc")
-        code, out, err = run_cli(capsys, "game", example("F.cox"))
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "COXFORGE_DEGREE_BOUND" in err
-
     def test_unknown_verb_exits_2(self, capsys):
         assert run_cli(capsys, "nonsense")[0] == 2
 
@@ -377,6 +370,25 @@ class TestEntryPoints:
                         for node in ast.walk(tree)
                         if isinstance(node, ast.Assert)
                     ]
+        assert found == []
+
+    def test_package_reads_no_environment(self):
+        # Every setting is an argument or a CLI flag, never an environment knob.
+        package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "coxforge")
+        knobs = {"environ", "getenv"}
+        found = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in knobs
+                or isinstance(node, ast.Name) and node.id in knobs
+                or isinstance(node, ast.alias) and node.name in knobs
+            ]
         assert found == []
 
     def test_only_intlattice_runs_smith_forms(self):

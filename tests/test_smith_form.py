@@ -230,6 +230,11 @@ class TestOneSmithFormPerValue:
         gale_dual(F2_WF.weights)
         assert len(smith_calls) == 1  # standardness and the kernel
 
+    def test_weights_from_rays_with_one(self, smith_calls):
+        weights = weights_from_rays(M([[1, 0], [0, 1], [-1, -1]]))  # P^2
+        assert weights == M([[1, 1, 1]])
+        assert len(smith_calls) == 1  # rank, torsion and the relations
+
     def test_fan_from_presentation(self, smith_calls):
         fan = fan_from_presentation(F2_WF)
         # one for the weights, then Fan's rank checks: the rays, each cone

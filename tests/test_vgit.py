@@ -1,7 +1,7 @@
 """Rank-2 variation of GIT: chambers, crossings, ends, and the two-ray game."""
 
-import os
 import random
+import time
 from collections import Counter
 from functools import cmp_to_key
 
@@ -219,14 +219,10 @@ class TestDegenerateAndErrors:
         with pytest.raises(InvalidArgumentError):
             chambers_rank2(p1)
 
-    def test_degree_bound_env_override(self):
-        os.environ["COXFORGE_DEGREE_BOUND"] = "1"
-        try:
-            e = end_behavior(F2, (0, 1))
-            # the Veronese generators all live at level 1, so bound 1 finds them
-            assert len(e.target_generators) == 7
-        finally:
-            del os.environ["COXFORGE_DEGREE_BOUND"]
+    def test_degree_bound_one_finds_the_veronese(self):
+        # the Veronese generators all live at level 1, so bound 1 finds them
+        e = end_behavior(F2, (0, 1), degree_bound=1)
+        assert len(e.target_generators) == 7
 
     def test_explicit_bound_argument(self):
         game = two_ray_game(F2, degree_bound=2)
@@ -401,3 +397,186 @@ class TestSweepOracle:
         game = two_ray_game(pres)
         assert len(game.models) == 25
         assert len(calls) <= len(game.models)
+
+
+# ---------------------------------------------------------------------------
+# the generator search against the box search and filters it replaced
+
+
+def dickson_minimal(vectors):
+    """Componentwise-minimal elements of a finite set of exponent vectors."""
+    return [
+        v for v in vectors
+        if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in vectors)
+    ]
+
+
+def line_solutions(qs, rho):
+    """Every nonnegative solution of ``sum q_i e_i = rho`` in a box.
+
+    The box covers every solution that is not componentwise above a
+    homogeneous solution, which is all the caller keeps.
+    """
+    if not qs:
+        return [()] if rho == 0 else []
+    top = max(abs(q) for q in qs)
+    bound = abs(rho) + len(qs) * top * top + top + 1
+    out = []
+
+    def rec(i, partial, acc):
+        if i == len(qs):
+            if acc == rho:
+                out.append(tuple(partial))
+            return
+        for e in range(bound + 1):
+            rec(i + 1, partial + [e], acc + qs[i] * e)
+
+    rec(0, [], 0)
+    return out
+
+
+def oracle_generators(sweep, target, degree_bound):
+    """``vgit._generators`` by a box search on the boundary line, with the
+    degree-zero invariants filtered out of each line solution (test oracle)."""
+    cols, lo, hi = sweep.cols, sweep.lo, sweep.hi
+    ell = (-lo[1], lo[0])
+    if hi != (-lo[0], -lo[1]):
+        ell = (ell[0] + hi[1], ell[1] - hi[0])
+    values = [ell[0] * c[0] + ell[1] * c[1] for c in cols]
+    zline = [j for j, v in enumerate(values) if v == 0]
+    free = [j for j, v in enumerate(values) if v > 0]
+    qs = tuple(vgit._multiple(cols[j], lo) for j in zline)
+    invariants = dickson_minimal([s for s in line_solutions(qs, 0) if any(s)])
+
+    def monomials(d):
+        out = []
+
+        def line_part(e, rest):
+            if not zline:
+                if rest == (0, 0):
+                    out.append(tuple(e))
+                return
+            rho = vgit._multiple(rest, lo)
+            if rho is None:
+                return
+            for s in line_solutions(qs, rho):
+                if any(all(a <= b for a, b in zip(inv, s)) for inv in invariants):
+                    continue
+                full = list(e)
+                for slot, j in enumerate(zline):
+                    full[j] = s[slot]
+                out.append(tuple(full))
+
+        def rec(i, e, rest, slack):
+            if i == len(free):
+                line_part(e, rest)
+                return
+            j = free[i]
+            for cnt in range(slack // values[j] + 1):
+                e[j] = cnt
+                rec(
+                    i + 1,
+                    e,
+                    (rest[0] - cnt * cols[j][0], rest[1] - cnt * cols[j][1]),
+                    slack - cnt * values[j],
+                )
+            e[j] = 0
+
+        budget = ell[0] * d[0] + ell[1] * d[1]
+        if budget >= 0:
+            rec(0, [0] * len(cols), d, budget)
+        return out
+
+    gens = []
+    for k in range(1, degree_bound + 1):
+        level = [
+            e for e in monomials((k * target[0], k * target[1]))
+            if not any(all(a <= b for a, b in zip(g, e)) for g in gens)
+        ]
+        gens.extend(sorted(level, key=lambda e: tuple(reversed(e))))
+    return tuple(gens)
+
+
+def random_halfplane(rng):
+    """A rank-2 presentation whose columns span exactly a halfplane.
+
+    Two or three columns lie on the boundary line, ``q * lo`` with ``q`` in
+    ``+-1..+-3`` and both signs present; one or two lie strictly on one side.
+    """
+    lo = primitive_vector((rng.randint(-2, 2), rng.randint(1, 2)))
+    qs = [rng.randint(1, 3), -rng.randint(1, 3)]
+    qs += [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(0, 1))]
+    cols = [(q * lo[0], q * lo[1]) for q in qs]
+    n = len(qs) + rng.randint(1, 2)
+    while len(cols) < n:
+        c = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if _det2(lo, c) > 0:
+            cols.append(c)
+    rng.shuffle(cols)
+    order = list(range(n))
+    rng.shuffle(order)
+    cut = rng.randint(1, n - 1)
+    comps = (tuple(sorted(order[:cut])), tuple(sorted(order[cut:])))
+    return CoxPresentation(
+        tuple("abcdef"[:n]),
+        IntMatrix(tuple(tuple(c[i] for c in cols) for i in range(2))),
+        MonomialIdeal(comps),
+        True,
+    )
+
+
+def outcome(f, *args):
+    """A call's result, or the class and message of what it raised."""
+    try:
+        return "ok", f(*args)
+    except CoxforgeError as exc:
+        return type(exc), str(exc)
+
+
+class TestGeneratorOracle:
+    def test_generators_and_games_match_box_search(self, monkeypatch):
+        # Three or more columns spanning a halfplane always leave a nonempty
+        # moving cone, so every game succeeds; the only error is a rejected
+        # level (a zero character or a negative bound).
+        rng = random.Random(7)
+        seen = Counter()
+        for _ in range(100):
+            p = random_halfplane(rng)
+            sweep = vgit._Sweep(p)
+            for chi in (sweep.lo, sweep.hi, (rng.randint(-2, 2), rng.randint(-2, 2))):
+                bound = rng.randint(-1, 3)
+                got = outcome(graded_ring_generators, p, chi, bound)
+                if chi == (0, 0) or bound < 0:
+                    assert got[0] is InvalidArgumentError, (p, chi, bound)
+                    seen["rejected"] += 1
+                else:
+                    assert got == ("ok", oracle_generators(sweep, chi, bound)), (p, chi)
+                    seen["generators" if got[1] else "none"] += 1
+            game = two_ray_game(p)
+            with monkeypatch.context() as m:
+                m.setattr(vgit, "_generators", oracle_generators)
+                assert game == two_ray_game(p), p
+            seen["game"] += 1
+        assert set(seen) == {"generators", "none", "rejected", "game"}, seen
+
+    def test_five_variable_game_is_fast(self):
+        # The box search took 35-73 s on this input; the capped search takes ms.
+        rows = [[-2, -4, 1, 4, -4], [-2, -4, 1, -1, -4]]
+        p = P("abcde", rows, [(0, 1, 2), (3, 4)], stacky=True)
+        start = time.perf_counter()
+        game = two_ray_game(p)
+        assert time.perf_counter() - start < 1.0
+        assert game.ends == (
+            vgit.EndBehavior(
+                "Fibration",
+                (-1, -1),
+                (
+                    (1, 0, 1, 0, 0), (0, 1, 3, 0, 0), (0, 0, 3, 0, 1), (1, 0, 0, 0, 0),
+                    (0, 1, 2, 0, 0), (0, 0, 2, 0, 1), (0, 1, 1, 0, 0), (0, 0, 1, 0, 1),
+                    (0, 1, 0, 0, 0), (0, 0, 0, 0, 1),
+                ),
+            ),
+            vgit.EndBehavior(
+                "DivisorialContraction", (4, -1), ((0, 0, 0, 1, 0),), contracted_variable=2
+            ),
+        )
