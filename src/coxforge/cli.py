@@ -4,16 +4,17 @@ Fourteen verbs map one-to-one onto library operations: ``standardize``,
 ``wellform``, ``wps``, ``gale``, ``fan2cox``, ``cox2fan``, ``subdivide``,
 ``charts``, ``chambers``, ``game``, ``gens``, ``blowup``, ``discrepancy``
 and ``equiv``.  Exit codes: 0 success, 2 input or validation error
-(diagnostic on stderr), 1 internal invariant violation.  ``--json``
-switches to a byte-stable machine-readable form (sorted keys, 0-based
-indices); ``--dot FILE`` writes a Graphviz diagram for ``game`` and
-``cox2fan``.
+(diagnostic on stderr), 1 internal invariant violation or standard output
+closed before the result was written.  ``--json`` switches to a
+byte-stable machine-readable form (sorted keys, 0-based indices); ``--dot
+FILE`` writes a Graphviz diagram for ``game`` and ``cox2fan``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -545,10 +546,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(human)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) if args.json else human
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at /dev/null so that the
+        # flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return 0
 
 

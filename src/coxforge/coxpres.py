@@ -13,6 +13,7 @@ permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence, Union
 
@@ -66,25 +67,47 @@ def minimal_transversals(
     pass between the two descriptions of a squarefree monomial ideal: its
     minimal monomial generators and its coordinate-prime components are
     each the minimal transversals of the other.
+
+    A depth-first search branches on the elements of the first member not
+    yet hit, and the branch that takes an element excludes the smaller ones
+    of that member from then on, so each transversal is reached at most
+    once: by taking, in each member it branches on, its smallest element.
+    A transversal ``t`` so reached is minimal exactly when every element of
+    ``t`` has a *private* member, one that ``t`` meets in that element
+    alone: dropping the element would leave that member unhit.  One pass
+    over the family checks this, so the cost grows with the number of
+    leaves, not with the square of the output.
     """
     family = [frozenset(s) for s in sets]
     for s in family:
         if not s:
             raise InvalidArgumentError("cannot hit an empty set")
     family.sort(key=lambda s: (len(s), sorted(s)))
-    found: set[frozenset[int]] = set()
-    stack = [(frozenset(), family)]
+    found: list[frozenset[int]] = []
+    stack = [(frozenset(), frozenset(), family)]
     while stack:
-        partial, todo = stack.pop()
+        partial, excluded, todo = stack.pop()
         todo = [s for s in todo if not (s & partial)]
         if not todo:
-            found.add(partial)
+            if _all_private(partial, family):
+                found.append(partial)
             continue
-        stack.extend((partial | {e}, todo[1:]) for e in sorted(todo[0]))
-    minimal = [
-        t for t in found if not any(u < t for u in found)
-    ]
-    return tuple(sorted(tuple(sorted(t)) for t in minimal))
+        choices = sorted(todo[0] - excluded)
+        stack.extend(
+            (partial | {e}, excluded.union(choices[:k]), todo[1:])
+            for k, e in enumerate(choices)
+        )
+    return tuple(sorted(tuple(sorted(t)) for t in found))
+
+
+def _all_private(t: frozenset[int], family: list[frozenset[int]]) -> bool:
+    """True when each element of the transversal ``t`` has a private member."""
+    private: set[int] = set()
+    for s in family:
+        hit = s & t
+        if len(hit) == 1:
+            private |= hit
+    return len(private) == len(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,9 +575,24 @@ def presentations_equivalent(p: CoxPresentation, q: CoxPresentation) -> bool:
 
     True when the well-formed models differ by a variable permutation and a
     unimodular row transform that also identifies the irrelevant ideals.
-    The permutation search backtracks over columns, pruned by two
-    invariants of unimodular row moves: the gcd of each weight column and
-    each variable's multiset of ideal-component sizes.
+    The permutation search places the source columns in order and prunes
+    in three ways:
+
+    * a column goes only where the gcd of its weights and the multiset of
+      sizes of its ideal components match, both invariant under
+      unimodular row moves;
+    * *twins*, columns with equal weights whose swap maps the irrelevant
+      ideal to itself, are interchangeable, so each twin goes to a larger
+      target than its nearest earlier twin and both orders of a twin pair
+      are never tried;
+    * a unimodular row transform scales every signed maximal minor by the
+      same ``det = +-1``, so a placement is rejected as soon as a minor
+      over placed columns breaks this, with the sign fixed by the first
+      nonzero minor.
+
+    A complete placement is accepted when its permuted weights have the
+    other model's Hermite form and it maps one irrelevant ideal onto the
+    other.
     """
     if p.num_variables != q.num_variables or p.rank != q.rank:
         return False
@@ -567,33 +605,144 @@ def presentations_equivalent(p: CoxPresentation, q: CoxPresentation) -> bool:
     b_sig = _ideal_signature(qw.irrelevant, n)
     if sorted(a_gcds) != sorted(b_gcds) or sorted(a_sig) != sorted(b_sig):
         return False
+    return _ColumnSearch(pw, qw, a_gcds, b_gcds, a_sig, b_sig).place(0, 0)
 
-    targets: list[int | None] = [None] * n  # source column -> target slot
-    used = [False] * n
 
-    def feasible(src: int, dst: int) -> bool:
-        return a_gcds[src] == b_gcds[dst] and a_sig[src] == b_sig[dst]
+class _Minors(dict):
+    """Signed minors on the leading rows of a matrix, computed on first use.
 
-    def place(src: int) -> bool:
-        if src == n:
-            permuted = IntMatrix(
-                tuple(
-                    tuple(row[targets.index(t)] for t in range(n))
-                    for row in a.entries
-                )
-            )
-            if hnf_canonical(permuted) != b:
-                return False
-            mapping = [targets[i] for i in range(n)]
-            return pw.irrelevant.mapped(mapping) == qw.irrelevant
-        for dst in range(n):
-            if not used[dst] and feasible(src, dst):
-                targets[src] = dst
-                used[dst] = True
-                if place(src + 1):
-                    return True
-                targets[src] = None
-                used[dst] = False
+    The key is an increasing tuple of ``k`` columns and the minor uses the
+    first ``k`` rows, expanded along row ``k - 1`` into minors on ``k - 1``
+    rows.
+    """
+
+    def __init__(self, m: IntMatrix) -> None:
+        super().__init__({(): 1})
+        self.entries = m.entries
+
+    def __missing__(self, cols: tuple[int, ...]) -> int:
+        k = len(cols) - 1
+        row = self.entries[k]
+        total = 0
+        for i, c in enumerate(cols):
+            if row[c]:
+                term = row[c] * self[cols[:i] + cols[i + 1 :]]
+                total += -term if (k + i) % 2 else term
+        self[cols] = total
+        return total
+
+
+def _parity(seq: Sequence[int]) -> int:
+    """Sign of the permutation that sorts a sequence of distinct integers."""
+    sign = 1
+    for i, x in enumerate(seq):
+        for y in seq[i + 1 :]:
+            if x > y:
+                sign = -sign
+    return sign
+
+
+def _twin_before(ideal: MonomialIdeal, m: IntMatrix) -> list[int | None]:
+    """Each column's nearest earlier twin: an equal column whose swap with
+    it maps ``ideal`` to itself."""
+    comps = ideal._key()
+    out: list[int | None] = [None] * m.cols
+    seen: dict[tuple[int, ...], list[int]] = {}
+    for j, column in enumerate(zip(*m.entries)):
+        earlier = seen.setdefault(column, [])
+        for i in reversed(earlier):
+            swap = {i: j, j: i}
+            if frozenset(frozenset(swap.get(v, v) for v in c) for c in comps) == comps:
+                out[j] = i
+                break
+        earlier.append(j)
+    return out
+
+
+class _ColumnSearch:
+    """Backtracking placement of ``pw``'s columns onto ``qw``'s.
+
+    ``place(src, sign)`` extends a placement of the source columns before
+    ``src``; ``sign`` is the common determinant of the row transform, or 0
+    while every minor over placed columns is zero.
+    """
+
+    def __init__(
+        self,
+        pw: CoxPresentation,
+        qw: CoxPresentation,
+        a_gcds: Sequence[int],
+        b_gcds: Sequence[int],
+        a_sig: Sequence[tuple[int, ...]],
+        b_sig: Sequence[tuple[int, ...]],
+    ) -> None:
+        self.pw, self.qw = pw, qw
+        n = self.n = pw.weights.cols
+        self.options = [
+            [d for d in range(n) if a_gcds[s] == b_gcds[d] and a_sig[s] == b_sig[d]]
+            for s in range(n)
+        ]
+        self.twin = _twin_before(pw.irrelevant, pw.weights)
+        r = pw.weights.rows
+        a_minors = _Minors(pw.weights)
+        # Each source column checks its minors with r - 1 earlier columns.
+        # Once the columns of the first nonzero minor, a basis, are placed,
+        # Cramer's rule makes a column's r minors against that basis fix
+        # all its others, so later columns check only those.
+        self.checks: list[list[tuple[tuple[int, ...], int]]] = []
+        basis = None
+        for s in range(n):
+            if basis is None:
+                combos: Iterable[tuple[int, ...]] = combinations(range(s), r - 1)
+            else:
+                combos = (basis[:i] + basis[i + 1 :] for i in range(r))
+            self.checks.append([(c, a_minors[c + (s,)]) for c in combos])
+            if basis is None:
+                basis = next((c + (s,) for c, m in self.checks[s] if m), None)
+        self.b_minors = _Minors(qw.weights)
+        self.targets = [0] * n  # source column -> target column
+        self.used = [False] * n
+
+    def place(self, src: int, sign: int) -> bool:
+        if src == self.n:
+            return self._complete()
+        twin = self.twin[src]
+        floor = -1 if twin is None else self.targets[twin]
+        for dst in self.options[src]:
+            if self.used[dst] or dst <= floor:
+                continue
+            new_sign = self._minor_sign(src, dst, sign)
+            if new_sign is None:
+                continue
+            self.targets[src] = dst
+            self.used[dst] = True
+            if self.place(src + 1, new_sign):
+                return True
+            self.used[dst] = False
         return False
 
-    return place(0)
+    def _minor_sign(self, src: int, dst: int, sign: int) -> int | None:
+        """The transform's sign once ``src`` goes to ``dst``, or None when a
+        minor over the placed columns rules the placement out."""
+        targets, b_minors = self.targets, self.b_minors
+        for combo, ma in self.checks[src]:
+            cols = [targets[s] for s in combo]
+            cols.append(dst)
+            mb = b_minors[tuple(sorted(cols))] * _parity(cols)
+            if sign == 0 and ma:
+                if abs(mb) != abs(ma):
+                    return None
+                sign = mb // ma
+            elif mb != sign * ma:
+                return None
+        return sign
+
+    def _complete(self) -> bool:
+        a, b = self.pw.weights, self.qw.weights
+        source = [0] * self.n  # target column -> source column
+        for s, t in enumerate(self.targets):
+            source[t] = s
+        permuted = IntMatrix(tuple(tuple(row[s] for s in source) for row in a.entries))
+        if hnf_canonical(permuted) != b:
+            return False
+        return self.pw.irrelevant.mapped(self.targets) == self.qw.irrelevant

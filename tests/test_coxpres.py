@@ -1,6 +1,9 @@
 """Presentations, monomial ideals, well-forming and its certificates."""
 
+import gc
 import random
+import time
+from math import gcd
 
 import pytest
 
@@ -33,6 +36,7 @@ from coxforge.intlattice import (
     _lift_transvections,
     _sl_echelon_ops_mod_p,
     delete_column,
+    hnf_canonical,
     hnf_transform,
     is_standard,
     minor_gcd,
@@ -400,3 +404,249 @@ class TestPresentationsEquivalent:
     def test_stacky_presentations_compare_via_models(self):
         wf, _ = well_form(F2_STACKY)
         assert presentations_equivalent(F2_STACKY, wf)
+
+
+# ---------------------------------------------------------------------------
+# search oracles: the quadratic minimality filter and the plain permutation
+# backtracking that the private-member rule, twins and minor pruning replaced
+
+
+def transversals_by_superset_filter(sets):
+    """Every DFS leaf, then drop each one that strictly contains another."""
+    family = [frozenset(s) for s in sets]
+    for s in family:
+        if not s:
+            raise InvalidArgumentError("cannot hit an empty set")
+    family.sort(key=lambda s: (len(s), sorted(s)))
+    found = set()
+    stack = [(frozenset(), family)]
+    while stack:
+        partial, todo = stack.pop()
+        todo = [s for s in todo if not (s & partial)]
+        if not todo:
+            found.add(partial)
+            continue
+        stack.extend((partial | {e}, todo[1:]) for e in sorted(todo[0]))
+    minimal = [t for t in found if not any(u < t for u in found)]
+    return tuple(sorted(tuple(sorted(t)) for t in minimal))
+
+
+def column_gcds(m):
+    return tuple(gcd(*m.column(j)) for j in range(m.cols))
+
+
+def ideal_signature(ideal, n):
+    return [tuple(sorted(len(c) for c in ideal.components if v in c)) for v in range(n)]
+
+
+def rejected_before_search(p, q):
+    """Whether the sizes, column gcds or ideal signatures already differ."""
+    if p.num_variables != q.num_variables or p.rank != q.rank:
+        return True
+    pw, _ = well_form(p)
+    qw, _ = well_form(q)
+    n = pw.num_variables
+    return (sorted(column_gcds(pw.weights)) != sorted(column_gcds(qw.weights))
+            or sorted(ideal_signature(pw.irrelevant, n))
+            != sorted(ideal_signature(qw.irrelevant, n)))
+
+
+def equivalent_by_permutations(p, q):
+    """Try every column permutation that keeps gcds and signatures."""
+    if rejected_before_search(p, q):
+        return False
+    pw, _ = well_form(p)
+    qw, _ = well_form(q)
+    a, b = pw.weights, qw.weights
+    n = a.cols
+    a_gcds, b_gcds = column_gcds(a), column_gcds(b)
+    a_sig = ideal_signature(pw.irrelevant, n)
+    b_sig = ideal_signature(qw.irrelevant, n)
+    targets = [None] * n
+    used = [False] * n
+
+    def place(src):
+        if src == n:
+            permuted = IntMatrix(
+                tuple(tuple(row[targets.index(t)] for t in range(n)) for row in a.entries)
+            )
+            if hnf_canonical(permuted) != b:
+                return False
+            return pw.irrelevant.mapped(targets) == qw.irrelevant
+        for dst in range(n):
+            if not used[dst] and a_gcds[src] == b_gcds[dst] and a_sig[src] == b_sig[dst]:
+                targets[src] = dst
+                used[dst] = True
+                if place(src + 1):
+                    return True
+                targets[src] = None
+                used[dst] = False
+        return False
+
+    return place(0)
+
+
+def random_family(rng):
+    """A few random subsets of a small ground set, some of them empty."""
+    ground = rng.randint(1, 8)
+    return [
+        tuple(rng.sample(range(ground), rng.randint(0 if rng.random() < 0.02 else 1,
+                                                    min(ground, 4))))
+        for _ in range(rng.randint(0, 7))
+    ]
+
+
+def random_antichain(rng, n):
+    comps = []
+    for _ in range(rng.randint(1, 3)):
+        c = frozenset(rng.sample(range(n), rng.randint(1, n)))
+        if not any(c <= d or d <= c for d in comps):
+            comps.append(c)
+    return [sorted(c) for c in comps]
+
+
+def random_presentation(rng):
+    """Small stacky presentation, often with repeated columns."""
+    r = rng.randint(1, 3)
+    n = rng.randint(r + 1, 6)
+    cols = []
+    while len(cols) < n:
+        col = tuple(rng.randint(-2, 2) for _ in range(r))
+        if any(col):
+            cols.append(col)
+            if rng.random() < 0.4 and len(cols) < n:
+                cols.append(col)
+    rows = [[c[i] for c in cols] for i in range(r)]
+    if rank(M(rows)) != r:
+        return random_presentation(rng)
+    return P([f"v{j}" for j in range(n)], rows, random_antichain(rng, n), True)
+
+
+def random_unimodular(rng, r):
+    g = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(3):
+        i, j = rng.sample(range(r), 2) if r > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-2, 2)
+            g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+        if rng.random() < 0.3:
+            g[i] = [-x for x in g[i]]
+    return g
+
+
+def random_partner(rng, p):
+    """A permuted, row-transformed copy of ``p``; then, two times in three,
+    one column or the ideal drawn again."""
+    n, r = p.num_variables, p.rank
+    perm = list(range(n))
+    rng.shuffle(perm)  # new column i is old column perm[i]
+    inverse = {old: new for new, old in enumerate(perm)}
+    cols = [p.weights.column(old) for old in perm]
+    comps = [sorted(inverse[i] for i in c) for c in p.irrelevant.components]
+    kind = rng.randrange(3)
+    if kind == 1:
+        cols[rng.randrange(n)] = tuple(rng.randint(-2, 2) for _ in range(r))
+    elif kind == 2:
+        comps = random_antichain(rng, n)
+    rows = [[c[i] for c in cols] for i in range(r)]
+    if rank(M(rows)) != r or any(not any(c) for c in cols):
+        return random_partner(rng, p)
+    g = M(random_unimodular(rng, r))
+    return P([f"w{j}" for j in range(n)], (g @ M(rows)).entries, comps, True)
+
+
+class TestSearchOracles:
+    def test_transversals_match_superset_filter(self):
+        rng = random.Random(1996)
+        raised = 0
+        for _ in range(2500):
+            fam = random_family(rng)
+            got = outcome(minimal_transversals, fam)
+            assert got == outcome(transversals_by_superset_filter, fam), fam
+            raised += got[0] is InvalidArgumentError
+        assert raised >= 20
+
+    def test_equivalence_matches_permutation_backtracking(self):
+        rng = random.Random(2014)
+        seen = {True: 0, False: 0, "rejected": 0, "raised": 0}
+        for _ in range(800):
+            p = random_presentation(rng)
+            q = random_partner(rng, p)
+            got = outcome(presentations_equivalent, p, q)
+            assert got == outcome(equivalent_by_permutations, p, q), (p, q)
+            if got[0] != "ok":
+                seen["raised"] += 1
+            elif rejected_before_search(p, q):
+                seen["rejected"] += 1
+            else:
+                seen[got[1]] += 1
+        assert min(seen[k] for k in (True, False, "rejected")) >= 100, seen
+
+    def test_product_against_twisted_copy(self):
+        # P^8 x P^1 against a twisted copy: 11 columns, 9 of them equal
+        n = 8
+        comps = [list(range(n + 1)), [n + 1, n + 2]]
+        names = [f"x{i}" for i in range(n + 1)] + ["y0", "y1"]
+        p = P(names, [[1] * (n + 1) + [0, 0], [0] * (n + 1) + [1, 1]], comps)
+        perm = [3, 9, 0, 7, 1, 10, 5, 2, 8, 4, 6]
+        cols = [(1, 0)] * (n + 1) + [(0, 1), (2, 1)]
+        inverse = {old: new for new, old in enumerate(perm)}
+        q = P([names[i] for i in perm],
+              [[cols[i][0] for i in perm], [cols[i][1] for i in perm]],
+              [[inverse[i] for i in c] for c in comps])
+        start = time.perf_counter()
+        assert presentations_equivalent(p, q) is False
+        assert presentations_equivalent(p, p) is True
+        assert time.perf_counter() - start < 1.0
+
+    def test_fourteen_disjoint_pairs(self):
+        sets = [(2 * i, 2 * i + 1) for i in range(14)]
+        start = time.perf_counter()
+        result = minimal_transversals(sets)
+        elapsed = time.perf_counter() - start
+        assert len(result) == 2 ** 14 == len(set(result))
+        assert result[0] == tuple(range(0, 28, 2))
+        assert result[-1] == tuple(range(1, 28, 2))
+        assert all(len(t) == 14 and all(t[i] // 2 == i for i in range(14)) for t in result)
+        assert elapsed < 2.0
+
+    def test_edges_of_a_complete_graph(self):
+        # each minimal vertex cover of K_22 misses one vertex; branching
+        # without exclusion reaches each of them about 2^21 / 22 times
+        sets = [(i, j) for i in range(22) for j in range(i + 1, 22)]
+        start = time.perf_counter()
+        result = minimal_transversals(sets)
+        assert time.perf_counter() - start < 1.0
+        assert result == tuple(
+            tuple(v for v in range(22) if v != skip) for skip in reversed(range(22))
+        )
+
+    def test_ten_distinct_columns(self):
+        # columns (1, i): no twins, so only the minors prune the search
+        cols = [(1, i) for i in range(10)]
+        comps = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+        p = P([f"x{i}" for i in range(10)], [[1] * 10, list(range(10))], comps)
+        perm = [6, 2, 9, 0, 4, 7, 1, 8, 3, 5]
+        inverse = {old: new for new, old in enumerate(perm)}
+        moved = [[inverse[i] for i in c] for c in comps]
+        rows = [[cols[i][0] for i in perm], [cols[i][1] for i in perm]]
+        g = M([[2, 1], [1, 1]])
+        q = P([f"y{i}" for i in range(10)], (g @ M(rows)).entries, moved)
+        other = P([f"y{i}" for i in range(10)], rows, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]])
+        start = time.perf_counter()
+        assert presentations_equivalent(p, q) is True
+        assert presentations_equivalent(p, other) is False
+        assert time.perf_counter() - start < 1.0
+
+    def test_search_leaves_no_reference_cycle(self):
+        p = P([f"x{i}" for i in range(7)] + ["y0", "y1"],
+              [[1] * 7 + [0, 0], [0] * 7 + [1, 1]], [range(7), (7, 8)])
+        q = P([f"x{i}" for i in range(7)] + ["y0", "y1"],
+              [[1] * 7 + [0, 3], [0] * 7 + [1, 1]], [range(7), (7, 8)])
+        gc.collect()
+        gc.disable()
+        try:
+            assert presentations_equivalent(p, q) is False
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

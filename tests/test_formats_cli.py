@@ -1,10 +1,13 @@
 """Text formats and the command-line interface."""
 
 import ast
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -334,6 +337,31 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "1 1 1" in proc.stdout
 
+    def test_closed_stdout_gives_no_traceback(self):
+        # The child waits on stdin until the read end of its stdout is
+        # closed, so its print always meets a broken pipe.
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        script = (
+            "import sys\n"
+            "sys.stdin.read()\n"
+            "import coxforge.cli as cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "wellform", example("f2.cox")],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        )
+        proc.stdout.close()
+        proc.stdin.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
     def test_unverified_certificate_is_internal_error_under_optimize(self):
         # The certificate check must not be an ``assert``: ``python -O``
         # would strip it and print an unverified certificate.
@@ -411,3 +439,145 @@ class TestEntryPoints:
                 and any(alias.name in smith for alias in node.names)
             ]
         assert found == []
+
+
+# ---------------------------------------------------------------------------
+# fuzz: seeded random small inputs through every verb
+
+
+def fuzz_matrix(rng):
+    r, n = rng.randint(1, 3), rng.randint(1, 5)
+    rows = [" ".join(str(rng.randint(-4, 4)) for _ in range(n)) for _ in range(r)]
+    return "\n".join([f"{r} {n}"] + rows) + "\n"
+
+
+def fuzz_bundle(rng):
+    """A small weighted-bundle presentation, with its base and fiber sizes."""
+    nb, nf = rng.randint(2, 3), rng.randint(2, 4)
+    cols = [(1, 0)] * nb + [(0, 1)] + [
+        (-rng.randint(0, 3), rng.randint(1, 3)) for _ in range(nf - 1)
+    ]
+    comps = [list(range(nb)), list(range(nb, nb + nf))]
+    return presentation_text(cols, comps, rng.random() < 0.5), nb, nf
+
+
+def fuzz_presentation(rng):
+    """Weighted-bundle shape two times in five, otherwise any small data."""
+    if rng.random() < 0.4:
+        return fuzz_bundle(rng)[0]
+    r = rng.randint(1, 3)
+    n = rng.randint(r, 6)
+    cols = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(n)]
+    comps = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 3))]
+    return presentation_text(cols, comps, rng.random() < 0.7)
+
+
+def presentation_text(cols, comps, stacky):
+    names = [f"v{j}" for j in range(len(cols))]
+    lines = [f"rank {len(cols[0])}", "vars " + " ".join(names)]
+    lines += [" ".join(str(c[i]) for c in cols) for i in range(len(cols[0]))]
+    lines.append("irrelevant " + "".join(
+        "(" + ",".join(names[j] for j in sorted(set(c))) + ")" for c in comps))
+    if stacky:
+        lines.append("stacky true")
+    return "\n".join(lines) + "\n"
+
+
+def fuzz_fan(rng):
+    """The fan of a small bundle, or random rays and cones."""
+    if rng.random() < 0.5:
+        nb, nf = rng.randint(2, 3), rng.randint(2, 3)
+        omega = [0] + [rng.randint(0, 2) for _ in range(nf - 1)]
+        p = parse_presentation(
+            f"rank 2\nvars {' '.join(f'v{j}' for j in range(nb + nf))}\n"
+            + " ".join(["1"] * nb + [str(-w) for w in omega]) + "\n"
+            + " ".join(["0"] * nb + ["1"] * nf) + "\n"
+            + "irrelevant (" + ",".join(f"v{j}" for j in range(nb)) + ")("
+            + ",".join(f"v{j}" for j in range(nb, nb + nf)) + ")\n"
+        )
+        return serialize_fan(fan_from_presentation(p))
+    dim, k = rng.randint(2, 3), rng.randint(3, 6)
+    rays = [" ".join(str(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(k)]
+    cones = [" ".join(str(i + 1) for i in sorted(rng.sample(range(k), dim)))
+             for _ in range(rng.randint(1, 4))]
+    return "\n".join([f"dim {dim}", f"rays {k}"] + rays + [f"cones {len(cones)}"]
+                     + cones) + "\n"
+
+
+def fuzz_job(rng):
+    """The documented job with one field redrawn."""
+    lines = read_example(rng.choice(["kawamata.job", "kawamata-solve.job"])).splitlines()
+    i = rng.randrange(len(lines))
+    key = lines[i].split()[0] if lines[i].split() else ""
+    values = {
+        "center": lambda: f"center {rng.randint(0, 3)} {rng.randint(0, 3)}",
+        "k": lambda: f"k {rng.randint(0, 3)}",
+        "fiber": lambda: "fiber " + " ".join(str(rng.randint(0, 3)) for _ in range(5)),
+        "b": lambda: "b " + " ".join(rng.choice(["?", "0", "1", "2", "-1"]) for _ in range(5)),
+        "target": lambda: f"target {rng.randint(-2, 2)}/{rng.randint(1, 3)}",
+        "equation": lambda: "equation deg 1 1 order " + str(rng.randint(0, 3)),
+    }
+    if key in values:
+        lines[i] = values[key]()
+    return "\n".join(lines + [f"bound {rng.randint(1, 40)}"]) + "\n"
+
+
+def fuzz_argv(rng, verb, write):
+    """One random command line for ``verb``; ``write`` stores an input file."""
+    pres = lambda: write(fuzz_presentation(rng))
+    ints = lambda k, lo, hi: [str(rng.randint(lo, hi)) for _ in range(k)]
+    if verb == "standardize":
+        return [verb, write(fuzz_matrix(rng))]
+    if verb in ("wellform", "gale", "cox2fan", "chambers", "charts", "game"):
+        return [verb, pres()]
+    if verb == "wps":
+        return [verb] + ints(rng.randint(1, 4), -1, 12)
+    if verb == "fan2cox":
+        return [verb, write(fuzz_fan(rng))]
+    if verb == "subdivide":
+        return [verb, write(fuzz_fan(rng))] + ints(rng.randint(2, 3), -2, 2)
+    if verb == "gens":
+        return [verb, pres()] + ints(2, -2, 3) + ["--bound", str(rng.randint(1, 3))]
+    if verb == "blowup":
+        text, nb, nf = fuzz_bundle(rng)
+        k = rng.randrange(nf)
+        return [verb, write(text), "--center", f"{rng.randrange(nb)},{k}",
+                "--k", str(k if rng.random() < 0.8 else rng.randrange(nf)),
+                "--b", ",".join(ints(nf if rng.random() < 0.8 else nf + 1, 0, 4))]
+    if verb == "discrepancy":
+        return [verb, write(fuzz_job(rng))]
+    return [verb, pres(), pres()]  # equiv
+
+
+VERBS = ("standardize", "wellform", "wps", "gale", "fan2cox", "cox2fan", "subdivide",
+         "charts", "chambers", "game", "gens", "blowup", "discrepancy", "equiv")
+
+
+class TestCliFuzz:
+    def test_every_verb_exits_cleanly(self, capsys, tmp_path):
+        rng = random.Random(2013)
+        files = itertools.count()
+
+        def write(text):
+            path = tmp_path / f"in{next(files)}"
+            path.write_text(text)
+            return str(path)
+
+        codes = {verb: [] for verb in VERBS}
+        start = time.perf_counter()
+        for _ in range(22):
+            for verb in VERBS:
+                argv = fuzz_argv(rng, verb, write)
+                if rng.random() < 0.5:
+                    argv.append("--json")
+                t0 = time.perf_counter()
+                code = main(argv)
+                elapsed = time.perf_counter() - t0
+                out, err = capsys.readouterr()
+                assert code in (0, 2), (argv, err)
+                assert elapsed < 2.0, argv
+                assert "Traceback" not in err, (argv, err)
+                assert (out != "") == (code == 0), (argv, err)
+                codes[verb].append(code)
+        assert time.perf_counter() - start < 10.0
+        assert all(0 in c for c in codes.values()), codes
