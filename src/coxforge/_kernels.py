@@ -1,8 +1,11 @@
 """Exact integer elimination kernels.
 
 These are the hot loops of the lattice layer: row-style Hermite reduction,
-Smith diagonalisation with transforms, and Bareiss determinants.  They are
-plain Python and all arithmetic happens on Python ints, so results are
+Smith diagonalisation with transforms, and one fraction-free Bareiss
+elimination without transforms that gives both the rank and the
+determinant (Bareiss, Math. Comp. 22, 1968), so a question that needs only
+the rank never pays for the unimodular transforms of a Smith form.  They
+are plain Python and all arithmetic happens on Python ints, so results are
 exact at any operand size.
 
 Matrices cross this boundary as lists of lists of ints; the callers own
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 BACKEND = "python"
 
-__all__ = ["BACKEND", "det", "hnf", "smith"]
+__all__ = ["BACKEND", "det", "hnf", "rank", "smith"]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -192,24 +195,48 @@ def smith(rows: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[
     return diag, u, v
 
 
+def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free row echelon elimination of ``rows``, without transforms.
+
+    Returns ``(rank, sign, pivot)``: the rank over Q, the sign of the row
+    permutation used, and the last pivot.  A column with no pivot left is
+    skipped, which is Bareiss elimination on the matrix with its pivot
+    columns moved first, so every division stays exact (Sylvester's
+    identity) and the last pivot of a full-rank square matrix is its
+    determinant up to ``sign``.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(nc):
+        if rank == nr:
+            break
+        if m[rank][col] == 0:
+            k = next((i for i in range(rank + 1, nr) if m[i][col]), None)
+            if k is None:
+                continue
+            m[rank], m[k] = m[k], m[rank]
+            sign = -sign
+        top = m[rank]
+        pivot = top[col]
+        for i in range(rank + 1, nr):
+            row = m[i]
+            a = row[col]
+            for j in range(col + 1, nc):
+                row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
+        rank += 1
+    return rank, sign, prev
+
+
+def rank(rows: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix (Bareiss elimination)."""
+    return _bareiss(rows)[0]
+
+
 def det(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rk, sign, pivot = _bareiss(rows)
+    return sign * pivot if rk == n else 0

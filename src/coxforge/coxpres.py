@@ -227,8 +227,7 @@ class CoxPresentation:
             raise InvalidArgumentError(
                 f"{len(names)} variables but {self.weights.cols} weight columns"
             )
-        form = _SmithForm.of(self.weights)
-        if form.rank != self.weights.rows:
+        if _SmithForm.of(self.weights).rank != self.weights.rows:
             raise RankError("weight matrix must have full row rank")
         for j in range(self.weights.cols):
             if all(e == 0 for e in self.weights.column(j)):
@@ -244,7 +243,7 @@ class CoxPresentation:
             )
         if not isinstance(self.stacky, bool):
             raise InvalidArgumentError("stacky must be a bool")
-        if not self.stacky and not _well_formed(form):
+        if not self.stacky and not is_well_formed(self.weights):
             raise InvalidArgumentError(
                 "weights are not well-formed; pass stacky=True for the stack"
             )
@@ -407,11 +406,7 @@ def is_well_formed(a: IntMatrix) -> bool:
     Raises:
         MustStandardizeFirstError: if ``a`` itself is not standard.
     """
-    return _well_formed(_SmithForm.of(a))
-
-
-def _well_formed(form: _SmithForm) -> bool:
-    """:func:`is_well_formed` of the matrix whose Smith form is ``form``."""
+    form = _SmithForm.of(a)
     form.require_standard("weight matrix")
     return all(g == 1 for g in form.gale_row_gcds())
 

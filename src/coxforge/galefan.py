@@ -18,7 +18,7 @@ from . import _kernels
 from .coxpres import (
     CoxPresentation,
     MonomialIdeal,
-    _well_formed,
+    is_well_formed,
     minimal_transversals,
     wps_well_form,
 )
@@ -340,13 +340,12 @@ def fan_from_presentation(p: CoxPresentation) -> Fan:
         UnsupportedFeatureError: when some cone would be non-simplicial, or
             a generator involves every variable (no cone left).
     """
-    form = _SmithForm.of(p.weights)
-    if not _well_formed(form):
+    if not is_well_formed(p.weights):
         raise InvalidArgumentError(
             "presentation must be well-formed to have primitive rays; "
             "run well_form first"
         )
-    b = form.kernel_basis()  # its Gale dual, the weights being standard
+    b = gale_dual(p.weights)
     rays = b.entries
     for ray in rays:
         if gcd(*ray) != 1:

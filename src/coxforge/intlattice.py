@@ -3,7 +3,14 @@
 Matrices are immutable tuples of tuples of Python ints and every operation
 is exact; minors of weight matrices grow fast, so nothing here ever touches
 floating point or fixed-width arithmetic.  The elimination cores (Hermite,
-Smith, determinant) are delegated to :mod:`coxforge._kernels`.
+Smith, and the Bareiss elimination behind rank and determinant) are
+delegated to :mod:`coxforge._kernels`.
+
+A matrix is diagonalised at most once: the first question that needs its
+Smith form (standardness, minor gcds, Gale-row gcds, kernel) computes it
+and keeps it on the matrix object, and every later question of that
+object reads it from there.  A rank alone needs no Smith form; it comes
+from a transform-free Bareiss elimination.
 
 The central notions:
 
@@ -77,6 +84,10 @@ class IntMatrix:
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.column(j) for j in range(self.cols))
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies carry the value alone, never the Smith-form memo.
+        return {"entries": self.entries}
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -152,7 +163,9 @@ class _SmithForm:
 
     ``diag`` holds the elementary divisors and ``v`` the column transform of
     ``u @ m @ v = diag`` (``u`` is dropped), so the columns of ``v`` past the
-    rank span the integer kernel of ``m``.
+    rank span the integer kernel of ``m``.  :meth:`of` keeps the form on the
+    matrix it came from, in the private attribute ``_smith_form``; the
+    matrix is frozen, so the form never goes stale.
     """
 
     rows: int
@@ -161,8 +174,12 @@ class _SmithForm:
 
     @classmethod
     def of(cls, m: IntMatrix) -> "_SmithForm":
-        diag, _, v = _kernels.smith(m.to_lists())
-        return cls(m.rows, tuple(diag), tuple(map(tuple, v)))
+        form = vars(m).get("_smith_form")
+        if form is None:
+            diag, _, v = _kernels.smith(m.to_lists())
+            form = cls(m.rows, tuple(diag), tuple(map(tuple, v)))
+            object.__setattr__(m, "_smith_form", form)
+        return form
 
     @property
     def rank(self) -> int:
@@ -203,7 +220,7 @@ def smith_transforms(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatri
 
 def rank(m: IntMatrix) -> int:
     """Rank over Q (equivalently the number of nonzero elementary divisors)."""
-    return _SmithForm.of(m).rank
+    return _kernels.rank(m.to_lists())
 
 
 def minor_gcd(m: IntMatrix, r: int) -> int:

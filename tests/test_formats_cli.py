@@ -421,9 +421,12 @@ class TestEntryPoints:
 
     def test_only_intlattice_runs_smith_forms(self):
         # Other modules read Smith invariants through ``intlattice``'s
-        # ``_SmithForm``; the package ``__init__`` only re-exports names.
+        # ``_SmithForm`` and ranks through its ``rank``; only ``intlattice``
+        # runs the kernels behind them or touches the Smith form it keeps on
+        # each matrix.  The package ``__init__`` only re-exports names.
         package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "coxforge")
-        smith = {"smith", "smith_transforms", "smith_diagonal"}
+        memo = "_smith_form"  # the attribute ``_SmithForm.of`` keeps on a matrix
+        smith = {"smith", "smith_transforms", "smith_diagonal", memo}
         found = []
         for name in sorted(os.listdir(package)):
             if not name.endswith(".py") or name in ("intlattice.py", "_kernels.py"):
@@ -435,8 +438,13 @@ class TestEntryPoints:
                 for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and node.id in smith
                 or isinstance(node, ast.Attribute) and node.attr in smith
+                or isinstance(node, ast.Constant) and node.value == memo
+                or isinstance(node, ast.Attribute) and node.attr == "rank"
+                and isinstance(node.value, ast.Name) and node.value.id == "_kernels"
                 or isinstance(node, ast.ImportFrom) and name != "__init__.py"
                 and any(alias.name in smith for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_kernels")
+                and any(alias.name == "rank" for alias in node.names)
             ]
         assert found == []
 

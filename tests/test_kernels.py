@@ -1,4 +1,4 @@
-"""Postcondition tests for the elimination kernels (Hermite, Smith, determinant)."""
+"""Postcondition tests for the elimination kernels (Hermite, Smith, rank, determinant)."""
 
 import random
 
@@ -17,7 +17,7 @@ def _matmul(a, b):
 
 def test_backend_is_reported():
     assert kernels.BACKEND == "python"
-    assert kernels.__all__ == ["BACKEND", "det", "hnf", "smith"]
+    assert kernels.__all__ == ["BACKEND", "det", "hnf", "rank", "smith"]
 
 
 def _check_hnf_postconditions(m):
@@ -89,6 +89,49 @@ def test_det_agrees_with_cofactor_expansion():
         n = rng.randint(1, 5)
         m = _random_matrix(rng, n, n, 9)
         assert kernels.det(m) == cofactor(m)
+
+
+def _rank_case(rng):
+    """A matrix of 1x1 to 8x12, often square, often a product of thin factors."""
+    nr = rng.randint(1, 8)
+    nc = nr if rng.random() < 0.3 else rng.randint(1, 12)
+    span = rng.choice((1, 9, 10**6, 10**13))
+    if rng.random() < 0.4:
+        k = rng.randint(1, min(nr, nc))  # rank at most k
+        m = _matmul(_random_matrix(rng, nr, k, span), _random_matrix(rng, k, nc, span))
+    else:
+        m = _random_matrix(rng, nr, nc, span)
+    if rng.random() < 0.2:
+        m[rng.randrange(nr)] = [0] * nc
+    if rng.random() < 0.2:
+        j = rng.randrange(nc)
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def test_rank_agrees_with_the_smith_diagonal():
+    rng = random.Random(1968)
+    seen = {"deficient": 0, "full": 0, "square": 0, "singular": 0, "huge": 0}
+    for _ in range(2400):
+        m = _rank_case(rng)
+        rk = kernels.rank(m)
+        assert rk == sum(1 for s in kernels.smith(m)[0] if s), m
+        n = len(m)
+        seen["full" if rk == min(n, len(m[0])) else "deficient"] += 1
+        seen["huge"] += max(abs(x) for row in m for x in row) >= 10**12
+        if len(m[0]) == n:
+            seen["square"] += 1
+            assert (kernels.det(m) != 0) == (rk == n), m
+            seen["singular"] += rk < n
+    assert min(seen.values()) >= 100, seen
+
+
+def test_rank_of_degenerate_shapes():
+    assert kernels.rank([[]]) == 0
+    assert kernels.rank([[0, 0, 0]]) == 0
+    assert kernels.rank([[0], [0], [7]]) == 1
+    assert kernels.rank([[0, 2, 4], [0, 1, 2], [0, 0, 3]]) == 2
 
 
 def test_det_of_empty_and_singular():

@@ -1,13 +1,18 @@
 """One Smith form per matrix value.
 
 Rank, standardness, the Gale-row gcds and the kernel of a matrix are all
-read from one Smith normal form.  The oracles below are the earlier
-bodies that ran a separate Smith form for each read, written against
-``smith_transforms`` alone; on random weight matrices every validation
-outcome (value, or error class and message) must agree with them.  The
-pins count the Smith forms a few paper calls make.
+read from one Smith normal form, computed at most once per matrix object
+and kept on it.  The oracles below are the earlier bodies that ran a
+separate Smith form for each read, written against ``smith_transforms``
+alone; on random weight matrices every validation outcome (value, or
+error class and message) must agree with them, on the first query of a
+matrix and on a repeat that reads the kept form.  The pins count the
+Smith forms a few paper calls make.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
 from math import gcd
 
@@ -25,6 +30,7 @@ from coxforge.galefan import fan_from_presentation, gale_dual, weights_from_rays
 from coxforge.intlattice import (
     IntMatrix,
     UnimodularWitness,
+    _SmithForm,
     _lift_transvections,
     _sl_echelon_ops_mod_p,
     hnf_canonical,
@@ -191,22 +197,47 @@ class TestAgainstSeparateSmithForms:
             ("rank-deficient", "zero column", "not standard",
              "standard, not well-formed", "well-formed"), 0
         )
+        checks = (
+            (is_well_formed, is_well_formed_by_smith),
+            (gale_dual, gale_dual_by_smith),
+            (kernel_basis, kernel_basis_by_smith),
+            (standardize_with_steps, standardize_with_steps_by_smith),
+            (lambda m: weights_from_rays(m.transpose()),  # the columns as rays
+             lambda m: weights_from_rays_by_smith(m.transpose())),
+        )
         for _ in range(1200):
             m = random_weights(rng)
-            for stacky in (True, False):
-                got = outcome(presentation, m, stacky)
-                assert got == outcome(validate_presentation_by_smith, m, stacky), m
-            seen[kind(got)] += 1
-            for f, oracle in (
-                (is_well_formed, is_well_formed_by_smith),
-                (gale_dual, gale_dual_by_smith),
-                (kernel_basis, kernel_basis_by_smith),
-                (standardize_with_steps, standardize_with_steps_by_smith),
-            ):
-                assert outcome(f, m) == outcome(oracle, m), (f.__name__, m)
-            b = m.transpose()  # the columns as rays
-            assert outcome(weights_from_rays, b) == outcome(weights_from_rays_by_smith, b), b
+            expected = [outcome(validate_presentation_by_smith, m, stacky)
+                        for stacky in (True, False)]
+            expected += [outcome(oracle, m) for _, oracle in checks]
+            for _ in range(2):  # the second query reads the kept forms
+                got = [outcome(presentation, m, stacky) for stacky in (True, False)]
+                got += [outcome(f, m) for f, _ in checks]
+                assert got == expected, m
+            seen[kind(got[1])] += 1  # the non-stacky validation
         assert min(seen.values()) >= 50, seen
+
+
+class TestSmithFormMemo:
+    def test_value_semantics_ignore_the_memo(self):
+        m = M([[3, 3, 3, 0, -2], [1, 1, 1, 2, 0]])
+        before = (hash(m), repr(m), dataclasses.fields(m), pickle.dumps(m))
+        form = _SmithForm.of(m)
+        assert vars(m)["_smith_form"] is form
+        assert (hash(m), repr(m), dataclasses.fields(m), pickle.dumps(m)) == before
+        fresh = M(m.entries)
+        assert fresh == m and m == fresh and fresh is not m
+        for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert twin == m and "_smith_form" not in vars(twin)
+        assert _SmithForm.of(fresh) == form and _SmithForm.of(fresh) is not form
+        assert _SmithForm.of(M([[1, 1, 1, 0, -2], [0, 0, 0, 1, 1]])) != form
+
+    def test_form_is_kept_per_object(self, smith_calls):
+        m = M([[1, 2, 3], [4, 5, 6]])
+        assert _SmithForm.of(m) is _SmithForm.of(m)
+        assert len(smith_calls) == 1
+        _SmithForm.of(M(m.entries))  # an equal value is another object
+        assert len(smith_calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +258,11 @@ class TestOneSmithFormPerValue:
         assert len(smith_calls) == 1  # rank, standardness and Gale rows
 
     def test_gale_dual_with_one(self, smith_calls):
-        gale_dual(F2_WF.weights)
+        weights = M(F2_WF.weights.entries)
+        gale_dual(weights)
         assert len(smith_calls) == 1  # standardness and the kernel
+        gale_dual(weights)
+        assert len(smith_calls) == 1  # the same object keeps its form
 
     def test_weights_from_rays_with_one(self, smith_calls):
         weights = weights_from_rays(M([[1, 0], [0, 1], [-1, -1]]))  # P^2
@@ -237,10 +271,17 @@ class TestOneSmithFormPerValue:
 
     def test_fan_from_presentation(self, smith_calls):
         fan = fan_from_presentation(F2_WF)
-        # one for the weights, then Fan's rank checks: the rays, each cone
+        # the validated weights keep their form; Fan's rank checks (the
+        # rays, each cone) need no Smith form
         assert len(fan.max_cones) == 6
-        assert len(smith_calls) == 1 + 1 + 6
+        assert len(smith_calls) == 0
 
     def test_well_form(self, smith_calls):
-        well_form(F2_STACKY)
-        assert len(smith_calls) <= 6
+        stacky = CoxPresentation(
+            F2_STACKY.variables, M(F2_STACKY.weights.entries), F2_STACKY.irrelevant, True
+        )
+        smith_calls.clear()
+        well_form(stacky)
+        # the input kept its form when it was built; one each for the
+        # standardised, column-repaired and Hermite-canonical matrices
+        assert len(smith_calls) == 3
