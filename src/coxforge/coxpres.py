@@ -13,9 +13,9 @@ permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     InvalidArgumentError,
@@ -68,46 +68,89 @@ def minimal_transversals(
     minimal monomial generators and its coordinate-prime components are
     each the minimal transversals of the other.
 
-    A depth-first search branches on the elements of the first member not
-    yet hit, and the branch that takes an element excludes the smaller ones
-    of that member from then on, so each transversal is reached at most
-    once: by taking, in each member it branches on, its smallest element.
-    A transversal ``t`` so reached is minimal exactly when every element of
-    ``t`` has a *private* member, one that ``t`` meets in that element
-    alone: dropping the element would leave that member unhit.  One pass
-    over the family checks this, so the cost grows with the number of
-    leaves, not with the square of the output.
+    The family is first split into connected components: two members are
+    connected when they share an element, directly or through a chain of
+    members.  The transversals of a disjoint union are a product (Berge,
+    *Hypergraphs*, 1989): an element of one component's ground set hits
+    members of that component only, so a set hits the whole family
+    exactly when its part in each ground set hits that component, and it
+    is minimal exactly when each part is.  An intersection of ``k``
+    disjoint coordinate primes thus costs ``k`` small searches and one
+    join, not a search with a leaf per product.
+
+    Each component is searched depth-first on int bitmasks, one bit per
+    element of the sorted universe.  The search branches on the elements
+    of the first member not yet hit, and the branch that takes an element
+    excludes the smaller ones of that member from then on, so each
+    transversal is reached at most once: by taking, in each member it
+    branches on, its smallest element.  A transversal ``t`` so reached is
+    minimal exactly when every element of ``t`` has a *private* member, one
+    that ``t`` meets in that element alone: dropping the element would
+    leave that member unhit.  One pass over the component checks this, so
+    the cost grows with the number of leaves, not with the square of the
+    output.  Each component's transversals are decoded to sorted tuples
+    once, every choice of one per component is joined, and the joins are
+    sorted.
     """
     family = [frozenset(s) for s in sets]
     for s in family:
         if not s:
             raise InvalidArgumentError("cannot hit an empty set")
     family.sort(key=lambda s: (len(s), sorted(s)))
-    found: list[frozenset[int]] = []
-    stack = [(frozenset(), frozenset(), family)]
+    universe = sorted(frozenset().union(*family))
+    bit = {e: 1 << i for i, e in enumerate(universe)}
+    masks = [sum(bit[e] for e in s) for s in family]
+    grounds: list[int] = []  # the element masks of the components so far
+    for s in masks:
+        merged, apart = s, []
+        for g in grounds:
+            if g & merged:
+                merged |= g
+            else:
+                apart.append(g)
+        apart.append(merged)
+        grounds = apart
+    parts = [
+        [_decode(t, universe) for t in _transversal_masks([s for s in masks if s & g])]
+        for g in grounds
+    ]
+    return tuple(sorted(tuple(sorted(chain(*choice))) for choice in product(*parts)))
+
+
+def _transversal_masks(family: list[int]) -> list[int]:
+    """The minimal transversals of a family of bitmasks, by the search of
+    :func:`minimal_transversals`."""
+    found: list[int] = []
+    stack = [(0, 0, family)]
     while stack:
         partial, excluded, todo = stack.pop()
-        todo = [s for s in todo if not (s & partial)]
+        todo = [s for s in todo if not s & partial]
         if not todo:
-            if _all_private(partial, family):
+            private = 0
+            for s in family:
+                hit = s & partial
+                if not hit & (hit - 1):  # ``partial`` meets ``s`` once
+                    private |= hit
+            if private == partial:
                 found.append(partial)
             continue
-        choices = sorted(todo[0] - excluded)
-        stack.extend(
-            (partial | {e}, excluded.union(choices[:k]), todo[1:])
-            for k, e in enumerate(choices)
-        )
-    return tuple(sorted(tuple(sorted(t)) for t in found))
+        choices, rest = todo[0] & ~excluded, todo[1:]
+        while choices:
+            low = choices & -choices
+            stack.append((partial | low, excluded, rest))
+            excluded |= low
+            choices ^= low
+    return found
 
 
-def _all_private(t: frozenset[int], family: list[frozenset[int]]) -> bool:
-    """True when each element of the transversal ``t`` has a private member."""
-    private: set[int] = set()
-    for s in family:
-        hit = s & t
-        if len(hit) == 1:
-            private |= hit
-    return len(private) == len(t)
+def _decode(mask: int, universe: Sequence[int]) -> tuple[int, ...]:
+    """The elements of ``universe`` whose bits ``mask`` sets, in order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(universe[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,21 +680,44 @@ def _parity(seq: Sequence[int]) -> int:
     return sign
 
 
-def _twin_before(ideal: MonomialIdeal, m: IntMatrix) -> list[int | None]:
-    """Each column's nearest earlier twin: an equal column whose swap with
-    it maps ``ideal`` to itself."""
+def _twins(ideal: MonomialIdeal, m: IntMatrix) -> Iterator[int | None]:
+    """Each column's nearest earlier twin, column by column: an equal column
+    whose swap with it maps ``ideal`` to itself."""
     comps = ideal._key()
-    out: list[int | None] = [None] * m.cols
     seen: dict[tuple[int, ...], list[int]] = {}
     for j, column in enumerate(zip(*m.entries)):
         earlier = seen.setdefault(column, [])
+        twin = None
         for i in reversed(earlier):
             swap = {i: j, j: i}
             if frozenset(frozenset(swap.get(v, v) for v in c) for c in comps) == comps:
-                out[j] = i
+                twin = i
                 break
+        yield twin
         earlier.append(j)
-    return out
+
+
+def _minor_checks(m: IntMatrix) -> Iterator[list[tuple[tuple[int, ...], int]]]:
+    """Each column's minor checks, column by column: pairs of ``r - 1``
+    earlier columns and the signed minor they make with the column.
+
+    A column checks its minors with every ``r - 1`` earlier columns until
+    the columns of the first nonzero minor, a basis, are known.  After that
+    Cramer's rule makes a column's ``r`` minors against the basis fix all
+    its others, so later columns check only those.
+    """
+    r = m.rows
+    minors = _Minors(m)
+    basis = None
+    for s in range(m.cols):
+        if basis is None:
+            combos: Iterable[tuple[int, ...]] = combinations(range(s), r - 1)
+        else:
+            combos = (basis[:i] + basis[i + 1 :] for i in range(r))
+        checks = [(c, minors[c + (s,)]) for c in combos]
+        if basis is None:
+            basis = next((c + (s,) for c, minor in checks if minor), None)
+        yield checks
 
 
 class _ColumnSearch:
@@ -659,7 +725,9 @@ class _ColumnSearch:
 
     ``place(src, sign)`` extends a placement of the source columns before
     ``src``; ``sign`` is the common determinant of the row transform, or 0
-    while every minor over placed columns is zero.
+    while every minor over placed columns is zero.  A source column's twin
+    and minor checks are built the first time the search reaches it, so a
+    search that fails early builds only what it visits.
     """
 
     def __init__(
@@ -677,23 +745,10 @@ class _ColumnSearch:
             [d for d in range(n) if a_gcds[s] == b_gcds[d] and a_sig[s] == b_sig[d]]
             for s in range(n)
         ]
-        self.twin = _twin_before(pw.irrelevant, pw.weights)
-        r = pw.weights.rows
-        a_minors = _Minors(pw.weights)
-        # Each source column checks its minors with r - 1 earlier columns.
-        # Once the columns of the first nonzero minor, a basis, are placed,
-        # Cramer's rule makes a column's r minors against that basis fix
-        # all its others, so later columns check only those.
+        self.twin_stream = _twins(pw.irrelevant, pw.weights)
+        self.check_stream = _minor_checks(pw.weights)
+        self.twin: list[int | None] = []
         self.checks: list[list[tuple[tuple[int, ...], int]]] = []
-        basis = None
-        for s in range(n):
-            if basis is None:
-                combos: Iterable[tuple[int, ...]] = combinations(range(s), r - 1)
-            else:
-                combos = (basis[:i] + basis[i + 1 :] for i in range(r))
-            self.checks.append([(c, a_minors[c + (s,)]) for c in combos])
-            if basis is None:
-                basis = next((c + (s,) for c, m in self.checks[s] if m), None)
         self.b_minors = _Minors(qw.weights)
         self.targets = [0] * n  # source column -> target column
         self.used = [False] * n
@@ -701,6 +756,9 @@ class _ColumnSearch:
     def place(self, src: int, sign: int) -> bool:
         if src == self.n:
             return self._complete()
+        if src == len(self.checks):  # first visit; sources come in order
+            self.twin.append(next(self.twin_stream))
+            self.checks.append(next(self.check_stream))
         twin = self.twin[src]
         floor = -1 if twin is None else self.targets[twin]
         for dst in self.options[src]:

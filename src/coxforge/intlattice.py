@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul
 
 from coxforge import _kernels
 from coxforge.errors import (
@@ -53,9 +54,12 @@ class IntMatrix:
         if not self.entries:
             raise InvalidArgumentError("matrix needs at least one row")
         width = len(self.entries[0])
+        ints = {int}
         for row in self.entries:
             if len(row) != width:
                 raise InvalidArgumentError("ragged rows in matrix")
+            if ints.issuperset(map(type, row)):
+                continue  # plain ints only: nothing to check entry by entry
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise InvalidArgumentError(f"non-integer entry {x!r}")
@@ -103,7 +107,7 @@ class IntMatrix:
         bt = list(zip(*other.entries)) if other.cols else []
         return IntMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
+                tuple(sum(map(mul, row, col)) for col in bt)
                 for row in self.entries
             )
         )

@@ -90,6 +90,10 @@ class TestMonomialIdeal:
     def test_generators_are_minimal_transversals(self):
         # (x,y) ∩ (z): minimal generators xz and yz
         assert MonomialIdeal(((0, 1), (2,))).generators() == ((0, 2), (1, 2))
+        # F2's (x,y,z) ∩ (t,u): one variable from each component, in order
+        assert MonomialIdeal(((0, 1, 2), (3, 4))).generators() == (
+            (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4),
+        )
 
     def test_mapped_applies_substitution(self):
         ideal = MonomialIdeal(((0, 1), (2,)))
@@ -496,6 +500,44 @@ def random_family(rng):
     ]
 
 
+def connected_components(family):
+    """The element sets of the family's connected components."""
+    grounds = []
+    for s in family:
+        merged = set(s)
+        for g in [g for g in grounds if g & merged]:
+            merged |= g
+            grounds.remove(g)
+        grounds.append(merged)
+    return grounds
+
+
+def random_disjoint_union(rng):
+    """2-4 connected pieces on disjoint labels, members shuffled together.
+
+    Labels mix negative, small and huge integers, assigned to the pieces at
+    random so that their ranges interleave; pieces may repeat a member or
+    hold one member inside another.
+    """
+    pool = rng.sample(range(-30, 30), 16) + [rng.randint(10**20, 10**21) for _ in range(4)]
+    rng.shuffle(pool)
+    family = []
+    for _ in range(rng.randint(2, 4)):
+        labels, pool = pool[: rng.randint(1, 5)], pool[5:]
+        piece = [rng.sample(labels, rng.randint(1, len(labels)))]
+        while set().union(*piece) != set(labels) or rng.random() < 0.4:
+            # each new member meets an earlier one, so the piece stays connected
+            hub = rng.choice(sorted(set().union(*piece)))
+            piece.append([hub] + rng.sample(labels, rng.randint(0, len(labels) - 1)))
+        if rng.random() < 0.3:
+            piece.append(list(rng.choice(piece)))  # a duplicate member
+        if rng.random() < 0.3:
+            piece.append(rng.choice(piece)[:1])  # a member inside another
+        family.extend(tuple(m) for m in piece)
+    rng.shuffle(family)
+    return family
+
+
 def random_antichain(rng, n):
     comps = []
     for _ in range(rng.randint(1, 3)):
@@ -566,6 +608,15 @@ class TestSearchOracles:
             raised += got[0] is InvalidArgumentError
         assert raised >= 20
 
+    def test_transversals_of_disjoint_unions_match_superset_filter(self):
+        rng = random.Random(1989)
+        pieces = {2: 0, 3: 0, 4: 0}
+        for _ in range(600):
+            fam = random_disjoint_union(rng)
+            assert minimal_transversals(fam) == transversals_by_superset_filter(fam), fam
+            pieces[len(connected_components(fam))] += 1
+        assert min(pieces.values()) >= 100, pieces
+
     def test_equivalence_matches_permutation_backtracking(self):
         rng = random.Random(2014)
         seen = {True: 0, False: 0, "rejected": 0, "raised": 0}
@@ -608,6 +659,17 @@ class TestSearchOracles:
         assert result[0] == tuple(range(0, 28, 2))
         assert result[-1] == tuple(range(1, 28, 2))
         assert all(len(t) == 14 and all(t[i] // 2 == i for i in range(14)) for t in result)
+        assert elapsed < 2.0
+
+    def test_sixteen_disjoint_pairs(self):
+        # one search per pair and a product join, not 2^16 leaves of one search
+        sets = [(2 * i, 2 * i + 1) for i in reversed(range(16))]
+        start = time.perf_counter()
+        result = minimal_transversals(sets)
+        elapsed = time.perf_counter() - start
+        assert len(result) == 2 ** 16 == 65536
+        assert result[0] == tuple(range(0, 32, 2))
+        assert result[-1] == tuple(range(1, 32, 2))
         assert elapsed < 2.0
 
     def test_edges_of_a_complete_graph(self):

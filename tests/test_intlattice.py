@@ -1,6 +1,7 @@
 """Integer-lattice layer: matrices, normal forms, standardization."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 
@@ -70,12 +71,29 @@ class TestIntMatrix:
         assert m.rows == 2 and m.cols == 2
 
     def test_ragged_rows_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            IntMatrix(((1, 2), (3,)))
+        # the width is checked before the entries of a row
+        for rows in (((1, 2), (3,)), ((1, 2), (3, 4, 5)), ((1, 2), (3, 4.0, 5))):
+            with pytest.raises(InvalidArgumentError, match="^ragged rows in matrix$"):
+                IntMatrix(rows)
 
     def test_non_integer_entries_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            IntMatrix(((1, 2.5),))
+        # a plain-int row passes a whole-row check; any other row is
+        # checked entry by entry, and the message names the offending entry
+        for bad in (2.5, True, 1.0, Fraction(1), "1"):
+            for rows in (((bad, 2), (3, 4)), ((1, 2), (3, bad))):
+                with pytest.raises(InvalidArgumentError) as err:
+                    IntMatrix(rows)
+                assert str(err.value) == f"non-integer entry {bad!r}"
+
+    def test_int_subclass_entries_accepted(self):
+        class Level(IntEnum):
+            LOW = 1
+            HIGH = 2
+
+        m = IntMatrix(((Level.LOW, 0), (3, Level.HIGH)))
+        assert m.entries[0][0] is Level.LOW
+        assert m == IntMatrix(((1, 0), (3, 2)))
+        assert (m @ IntMatrix.identity(2)).entries == ((1, 0), (3, 2))
 
     def test_matmul_and_transpose(self):
         a = M([[1, 2], [3, 4]])
