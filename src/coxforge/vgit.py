@@ -11,9 +11,8 @@ full picture exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key
-from operator import mul
-from typing import Iterator, Optional, Sequence
+from functools import cmp_to_key
+from typing import Optional, Sequence
 
 from .coxpres import CoxPresentation, MonomialIdeal
 from .errors import (
@@ -303,11 +302,6 @@ class _Sweep:
             )
         return self.walls[s[1]], self.walls[s[-2]]
 
-    @cached_property
-    def enumerator(self) -> _MonomialEnumerator:
-        """The monomial enumerator of ``p``, built on first use."""
-        return _MonomialEnumerator(self)
-
 
 def chambers_rank2(
     p: CoxPresentation,
@@ -360,103 +354,9 @@ def cones_rank2(
 # graded ring generators
 
 
-def _budgeted(
-    weights: Sequence[int], budget: int, exact: bool
-) -> Iterator[tuple[int, ...]]:
-    """Nonnegative ``e`` with ``sum(w * e) <= budget``, or ``== budget`` if ``exact``.
-
-    Every weight must be positive, which makes the search finite.  The last
-    exponent takes the slack the others leave: all of it when ``exact``,
-    any part of it otherwise.
-    """
-    if not weights:
-        if budget == 0 or (budget > 0 and not exact):
-            yield ()
-        return
-    last = weights[-1]
-    for head in _budgeted(weights[:-1], budget, False):
-        slack = budget - sum(map(mul, weights, head))
-        if not exact:
-            for cnt in range(slack // last + 1):
-                yield head + (cnt,)
-        elif slack % last == 0:
-            yield head + (slack // last,)
-
-
 def _divides(divisors: Sequence[tuple[int, ...]], e: tuple[int, ...]) -> bool:
     """Whether some exponent vector in ``divisors`` lies componentwise below ``e``."""
     return any(all(a <= b for a, b in zip(g, e)) for g in divisors)
-
-
-class _MonomialEnumerator:
-    """Exact enumeration of monomials of a given multidegree.
-
-    The functional ``ell`` is positive on every column off the boundary
-    line of the support and zero on the line, so the off-line exponents of
-    a monomial of degree ``d`` solve ``sum (ell . c_j) e_j = ell . d``.  The
-    columns on the line (only a halfplane support has them) are ``q_i *
-    lo`` with ``q_i`` of either sign, and their exponents solve ``sum q_i
-    e_i = rho`` for the rest ``rho * lo`` of the degree.  That equation has
-    infinitely many solutions, but those above no degree-zero invariant are
-    capped: if a positive-side exponent reaches ``max |q^-|`` and a
-    negative-side one reaches ``max q^+``, ``e`` lies above the invariant of
-    that pair of columns.  So one whole side keeps every exponent below
-    that bound, and the positive side sums to at most ``max(rho, 0) +
-    len(qs) * max q^+ * max |q^-|``.  :meth:`monomials` yields every
-    solution under the cap; callers discard those above an invariant.
-    """
-
-    def __init__(self, sweep: _Sweep) -> None:
-        self.cols = sweep.cols
-        lo, hi = sweep.lo, sweep.hi
-        rot_lo = (-lo[1], lo[0])
-        if hi == (-lo[0], -lo[1]):
-            ell = rot_lo
-        else:
-            rot_hi = (hi[1], -hi[0])
-            ell = (rot_lo[0] + rot_hi[0], rot_lo[1] + rot_hi[1])
-        self.ell = ell
-        values = [ell[0] * c[0] + ell[1] * c[1] for c in self.cols]
-        if not all(v >= 0 for v in values):
-            raise AssertionError("functional must be nonnegative")
-        self.lo = lo
-        free = [j for j, v in enumerate(values) if v > 0]
-        # Multiples of lo carried by each boundary-line column.
-        qs = {j: _multiple(self.cols[j], lo) for j, v in enumerate(values) if v == 0}
-        plus = [j for j, q in qs.items() if q > 0]
-        minus = [j for j, q in qs.items() if q < 0]
-        self.free_values = [values[j] for j in free]
-        self.free_xs = [self.cols[j][0] for j in free]
-        self.free_ys = [self.cols[j][1] for j in free]
-        self.plus_qs = [qs[j] for j in plus]
-        self.minus_qs = [-qs[j] for j in minus]
-        top_plus, top_minus = max(self.plus_qs, default=0), max(self.minus_qs, default=0)
-        self.spread = len(qs) * top_plus * top_minus
-        self.order = free + plus + minus
-        self.invariants: list[tuple[int, ...]] = []
-        for e in sorted(self.monomials((0, 0)), key=sum):
-            if any(e) and not _divides(self.invariants, e):
-                self.invariants.append(e)
-
-    def monomials(self, d: Vec2) -> Iterator[tuple[int, ...]]:
-        """Exponent vectors of degree ``d``: all above no invariant, some above one."""
-        n = len(self.cols)
-        budget = self.ell[0] * d[0] + self.ell[1] * d[1]
-        for f in _budgeted(self.free_values, budget, True):
-            rest = (
-                d[0] - sum(map(mul, f, self.free_xs)),
-                d[1] - sum(map(mul, f, self.free_ys)),
-            )
-            rho = _multiple(rest, self.lo)
-            if rho is None:
-                continue
-            for pos in _budgeted(self.plus_qs, max(rho, 0) + self.spread, False):
-                excess = sum(map(mul, self.plus_qs, pos)) - rho
-                for neg in _budgeted(self.minus_qs, excess, True):
-                    e = [0] * n
-                    for j, c in zip(self.order, f + pos + neg):
-                        e[j] = c
-                    yield tuple(e)
 
 
 def _reversed_key(e: tuple[int, ...]) -> tuple[int, ...]:
@@ -474,15 +374,52 @@ def _check_level(target: Vec2, degree_bound: int) -> None:
 def _generators(
     sweep: _Sweep, target: Vec2, degree_bound: int
 ) -> tuple[tuple[int, ...], ...]:
-    """:func:`graded_ring_generators` on the sweep's shared enumerator."""
-    enum = sweep.enumerator
-    gens = list(enum.invariants)
-    for k in range(1, degree_bound + 1):
-        d = (k * target[0], k * target[1])
-        level = [e for e in enum.monomials(d) if not _divides(gens, e)]
-        level.sort(key=_reversed_key)
-        gens.extend(level)
-    return tuple(gens[len(enum.invariants) :])
+    """:func:`graded_ring_generators` by the completion of Contejean & Devie.
+
+    The generators are the minimal nonzero ``x = (e, m)`` with ``B x = 0``
+    for ``B = [A | -chi]`` and ``1 <= m <= bound``; those with ``m = 0`` are
+    the degree-zero invariants.  From the unit vectors, level by level in
+    ``sum(x)``, ``x`` is recorded when ``B x = 0`` and otherwise extended by
+    each ``e_j`` with ``<B x, B e_j> < 0``, unless it lies above a recorded
+    solution (Inform. and Comput. 113, 1994).  Such steps reach each minimal
+    solution through vectors below it, which obey ``m <= bound`` and ``sum
+    ell(c_j) e_j <= bound * ell(chi)``; ``ell`` is positive off the
+    support's boundary line and zero on it, so these prunes leave a finite
+    search.
+    """
+    lo, hi = sweep.lo, sweep.hi
+    ell = (-lo[1], lo[0])
+    if hi != (-lo[0], -lo[1]):
+        ell = (ell[0] + hi[1], ell[1] - hi[0])
+    cols = [*sweep.cols, (-target[0], -target[1])]
+    values = [ell[0] * c[0] + ell[1] * c[1] for c in cols[:-1]] + [0]
+    if not all(v >= 0 for v in values):
+        raise AssertionError("functional must be nonnegative")
+    cap = degree_bound * (ell[0] * target[0] + ell[1] * target[1])
+    n = len(sweep.cols)
+    level = {
+        tuple(int(i == j) for i in range(n + 1)): (c, v)
+        for j, (c, v) in enumerate(zip(cols, values))
+    }
+    found: list[tuple[int, ...]] = []
+    while level:
+        found.extend(x for x, (b, _) in level.items() if b == (0, 0))
+        grown = {}
+        for x, (b, w) in level.items():
+            for j, (c, v) in enumerate(zip(cols, values)):
+                if b[0] * c[0] + b[1] * c[1] >= 0 or w + v > cap:
+                    continue
+                y = (*x[:j], x[j] + 1, *x[j + 1 :])
+                if y[n] > degree_bound or y in grown:
+                    continue
+                # x is no solution and lies above none: one below y has y[j] at j
+                if _divides([s for s in found if s[j] == y[j]], y):
+                    continue
+                grown[y] = ((b[0] + c[0], b[1] + c[1]), w + v)
+        level = grown
+    # reversed (e, m) is (m, reversed e): by level, then by _reversed_key
+    found.sort(key=_reversed_key)
+    return tuple(x[:n] for x in found if x[n])
 
 
 def graded_ring_generators(
@@ -494,8 +431,18 @@ def graded_ring_generators(
     or by a generator found at a lower multiple of ``chi``.  Within each
     level monomials are ordered lexicographically reading exponents from
     the last variable backwards, which lists low-index variables first.
+    The search follows the generators, not the monomials of each level
+    (see :func:`_generators`).
+
+    Raises:
+        InvalidArgumentError: if ``p`` does not have rank 2, ``chi`` does
+            not have two entries or is zero, or the bound is negative.
     """
     _require_rank2(p)
+    if len(chi) != 2:
+        raise InvalidArgumentError(
+            f"character {tuple(chi)} does not match rank {p.rank}"
+        )
     target = (int(chi[0]), int(chi[1]))
     _check_level(target, degree_bound)
     return _generators(_Sweep(p), target, degree_bound)

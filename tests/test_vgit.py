@@ -366,23 +366,18 @@ class TestSweepOracle:
         }
         assert empty_moving > 0
 
-    def test_game_builds_one_sweep_and_one_enumerator(self, monkeypatch):
-        built = Counter()
+    def test_game_builds_one_sweep(self, monkeypatch):
+        built = []
 
-        def counted(cls):
-            def init(self, *args):
-                built[cls.__name__] += 1
-                cls.__init__(self, *args)
+        class Counted(vgit._Sweep):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
 
-            return type(cls.__name__, (cls,), {"__init__": init})
-
-        monkeypatch.setattr(vgit, "_Sweep", counted(vgit._Sweep))
-        monkeypatch.setattr(
-            vgit, "_MonomialEnumerator", counted(vgit._MonomialEnumerator)
-        )
+        monkeypatch.setattr(vgit, "_Sweep", Counted)
         game = two_ray_game(F)
         assert len(game.models) == 4
-        assert built == {"_Sweep": 1, "_MonomialEnumerator": 1}
+        assert len(built) == 1
 
     def test_game_reuses_the_input_smith_form(self, monkeypatch):
         # every chamber model shares the weights object of ``pres``, whose
@@ -498,22 +493,18 @@ def oracle_generators(sweep, target, degree_bound):
     return tuple(gens)
 
 
-def random_halfplane(rng):
-    """A rank-2 presentation whose columns span exactly a halfplane.
-
-    Two or three columns lie on the boundary line, ``q * lo`` with ``q`` in
-    ``+-1..+-3`` and both signs present; one or two lie strictly on one side.
-    """
-    lo = primitive_vector((rng.randint(-2, 2), rng.randint(1, 2)))
-    qs = [rng.randint(1, 3), -rng.randint(1, 3)]
-    qs += [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(0, 1))]
-    cols = [(q * lo[0], q * lo[1]) for q in qs]
-    n = len(qs) + rng.randint(1, 2)
+def columns_above(rng, lo, cols, n):
+    """``cols`` filled up to ``n`` with random columns ``c``, ``det(lo, c) > 0``."""
     while len(cols) < n:
         c = (rng.randint(-3, 3), rng.randint(-3, 3))
         if _det2(lo, c) > 0:
             cols.append(c)
-    rng.shuffle(cols)
+    return cols
+
+
+def two_component_presentation(rng, cols):
+    """A stacky presentation of ``cols`` with a random two-component ideal."""
+    n = len(cols)
     order = list(range(n))
     rng.shuffle(order)
     cut = rng.randint(1, n - 1)
@@ -526,6 +517,35 @@ def random_halfplane(rng):
     )
 
 
+def random_halfplane(rng):
+    """A rank-2 presentation whose columns span exactly a halfplane.
+
+    Two or three columns lie on the boundary line, ``q * lo`` with ``q`` in
+    ``+-1..+-3`` and both signs present; one or two lie strictly on one side.
+    """
+    lo = primitive_vector((rng.randint(-2, 2), rng.randint(1, 2)))
+    qs = [rng.randint(1, 3), -rng.randint(1, 3)]
+    qs += [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(0, 1))]
+    cols = [(q * lo[0], q * lo[1]) for q in qs]
+    cols = columns_above(rng, lo, cols, len(qs) + rng.randint(1, 2))
+    rng.shuffle(cols)
+    return two_component_presentation(rng, cols)
+
+
+def random_cone(rng):
+    """A rank-2 presentation whose columns lie strictly inside a halfplane.
+
+    Three to five columns ``c`` have ``det(lo, c) > 0`` for a random
+    primitive ``lo``, so none lies on its boundary line, and they span at
+    least two directions, so the weights have full rank.
+    """
+    while True:
+        lo = primitive_vector((rng.randint(-2, 2), rng.randint(1, 2)))
+        cols = columns_above(rng, lo, [], rng.randint(3, 5))
+        if len({primitive_vector(c) for c in cols}) > 1:
+            return two_component_presentation(rng, cols)
+
+
 def outcome(f, *args):
     """A call's result, or the class and message of what it raised."""
     try:
@@ -536,29 +556,36 @@ def outcome(f, *args):
 
 class TestGeneratorOracle:
     def test_generators_and_games_match_box_search(self, monkeypatch):
-        # Three or more columns spanning a halfplane always leave a nonempty
-        # moving cone, so every game succeeds; the only error is a rejected
-        # level (a zero character or a negative bound).
+        # Three or more columns spanning a halfplane or a strictly convex
+        # cone always leave a nonempty moving cone, so every game succeeds;
+        # the only error is a rejected level (a zero character or a
+        # negative bound).
         rng = random.Random(7)
         seen = Counter()
-        for _ in range(100):
-            p = random_halfplane(rng)
-            sweep = vgit._Sweep(p)
-            for chi in (sweep.lo, sweep.hi, (rng.randint(-2, 2), rng.randint(-2, 2))):
-                bound = rng.randint(-1, 3)
-                got = outcome(graded_ring_generators, p, chi, bound)
-                if chi == (0, 0) or bound < 0:
-                    assert got[0] is InvalidArgumentError, (p, chi, bound)
-                    seen["rejected"] += 1
-                else:
-                    assert got == ("ok", oracle_generators(sweep, chi, bound)), (p, chi)
-                    seen["generators" if got[1] else "none"] += 1
-            game = two_ray_game(p)
-            with monkeypatch.context() as m:
-                m.setattr(vgit, "_generators", oracle_generators)
-                assert game == two_ray_game(p), p
-            seen["game"] += 1
-        assert set(seen) == {"generators", "none", "rejected", "game"}, seen
+        for support in (random_halfplane, random_cone):
+            for _ in range(100):
+                p = support(rng)
+                sweep = vgit._Sweep(p)
+                for chi in (sweep.lo, sweep.hi, (rng.randint(-2, 2), rng.randint(-2, 2))):
+                    bound = rng.randint(-1, 3)
+                    got = outcome(graded_ring_generators, p, chi, bound)
+                    if chi == (0, 0) or bound < 0:
+                        assert got[0] is InvalidArgumentError, (p, chi, bound)
+                        kind = "rejected"
+                    else:
+                        assert got == ("ok", oracle_generators(sweep, chi, bound)), (p, chi)
+                        kind = "generators" if got[1] else "none"
+                    seen[support.__name__, kind] += 1
+                game = two_ray_game(p)
+                with monkeypatch.context() as m:
+                    m.setattr(vgit, "_generators", oracle_generators)
+                    assert game == two_ray_game(p), p
+                seen[support.__name__, "game"] += 1
+        assert set(seen) == {
+            (support, kind)
+            for support in ("random_halfplane", "random_cone")
+            for kind in ("generators", "none", "rejected", "game")
+        }, seen
 
     def test_five_variable_game_is_fast(self):
         # The box search took 35-73 s on this input; the capped search takes ms.
@@ -581,3 +608,42 @@ class TestGeneratorOracle:
                 "DivisorialContraction", (4, -1), ((0, 0, 0, 1, 0),), contracted_variable=2
             ),
         )
+
+    @pytest.mark.parametrize("k", [40, 160])
+    def test_stacky_f2_end_with_a_tall_column_is_fast(self, k):
+        # Listing every monomial of each level took 11.6 s at k = 40 (the
+        # default bound is k + 1); the completion follows the 7 generators.
+        p = P("xyztu", [[1, 1, 1, 0, -2], [0, 0, 0, k, 1]], [(0, 1, 2), (3, 4)], True)
+        start = time.perf_counter()
+        end = end_behavior(p, (0, 1))
+        assert time.perf_counter() - start < 2.0
+        assert end == vgit.EndBehavior(
+            "DivisorialContraction",
+            (0, 1),
+            (
+                (2, 0, 0, 0, 1), (1, 1, 0, 0, 1), (0, 2, 0, 0, 1), (1, 0, 1, 0, 1),
+                (0, 1, 1, 0, 1), (0, 0, 2, 0, 1), (0, 0, 0, 1, 0),
+            ),
+            contracted_variable=4,
+        )
+
+    def test_seven_variable_bundle_is_fast(self):
+        # Levels 1-3 hold 53,165 monomials, which took 8.3 s to list; the
+        # answer has 737 generators.
+        rows = [[1, 1, 1, 0, -3, -1, -3], [0, 0, 0, 1, 1, 2, 1]]
+        p = P([f"v{i}" for i in range(7)], rows, [(0, 1, 2), (3, 4, 5, 6)])
+        start = time.perf_counter()
+        gens = graded_ring_generators(p, (3, 3), 3)
+        assert time.perf_counter() - start < 5.0
+        assert len(gens) == 737
+        for g in gens:
+            degree = [sum(r[j] * g[j] for j in range(7)) for r in rows]
+            assert degree[0] == degree[1] and degree[0] in (3, 6, 9), g
+        assert dickson_minimal(gens) == list(gens)
+
+
+class TestCharacterLength:
+    @pytest.mark.parametrize("chi", [(1,), (0, 1, 7)])
+    def test_character_must_have_two_entries(self, chi):
+        with pytest.raises(InvalidArgumentError, match="does not match rank 2"):
+            graded_ring_generators(F2, chi, 2)
