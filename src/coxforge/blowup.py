@@ -195,7 +195,7 @@ def bundle_spec_of(p: CoxPresentation) -> WeightedBundleSpec:
     """
     if p.rank != 2:
         raise InvalidArgumentError("a weighted bundle presentation has rank 2")
-    cols = [p.weights.column(j) for j in range(p.num_variables)]
+    cols = p.weights.columns()
     n = 0
     while n < len(cols) and cols[n] == (1, 0):
         n += 1

@@ -168,15 +168,17 @@ class MonomialIdeal:
     def __post_init__(self) -> None:
         seen: list[frozenset[int]] = []
         normal: list[tuple[int, ...]] = []
+        ints = {int}
         for comp in self.components:
             entries = tuple(comp)
             if not entries:
                 raise InvalidArgumentError("empty ideal component")
-            for i in entries:
-                if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-                    raise InvalidArgumentError(
-                        f"variable index must be a nonnegative integer, got {i!r}"
-                    )
+            if not (ints.issuperset(map(type, entries)) and min(entries) >= 0):
+                for i in entries:
+                    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+                        raise InvalidArgumentError(
+                            f"variable index must be a nonnegative integer, got {i!r}"
+                        )
             key = frozenset(entries)
             if len(key) != len(entries):
                 raise InvalidArgumentError(f"repeated index in component {entries}")
@@ -213,7 +215,7 @@ class MonomialIdeal:
     @property
     def max_index(self) -> int:
         """Largest variable index appearing in any component (-1 if none)."""
-        return max((i for comp in self.components for i in comp), default=-1)
+        return max(map(max, self.components), default=-1)
 
     def mapped(self, permutation: Sequence[int]) -> "MonomialIdeal":
         """Apply an index substitution ``i -> permutation[i]`` componentwise."""
@@ -259,9 +261,10 @@ class CoxPresentation:
         names = self.variables
         if not names:
             raise InvalidArgumentError("need at least one variable")
-        for name in names:
-            if not isinstance(name, str) or not name.isidentifier():
-                raise InvalidArgumentError(f"bad variable name {name!r}")
+        if not ({str}.issuperset(map(type, names)) and all(map(str.isidentifier, names))):
+            for name in names:
+                if not isinstance(name, str) or not name.isidentifier():
+                    raise InvalidArgumentError(f"bad variable name {name!r}")
         if len(set(names)) != len(names):
             raise InvalidArgumentError("variable names must be distinct")
         if not isinstance(self.weights, IntMatrix):
@@ -272,8 +275,8 @@ class CoxPresentation:
             )
         if _SmithForm.of(self.weights).rank != self.weights.rows:
             raise RankError("weight matrix must have full row rank")
-        for j in range(self.weights.cols):
-            if all(e == 0 for e in self.weights.column(j)):
+        for j, column in enumerate(zip(*self.weights.entries)):
+            if not any(column):
                 raise InvalidArgumentError(f"column {j} of the weights is zero")
         if not isinstance(self.irrelevant, MonomialIdeal):
             raise InvalidArgumentError("irrelevant must be a MonomialIdeal")
@@ -444,14 +447,17 @@ def is_well_formed(a: IntMatrix) -> bool:
 
     Equivalently every Gale dual row ``b_k`` is primitive, as one Smith form
     shows for all ``k``: ``Z^r / a_k(Z^(n-1)) = Z^n / ({x_k = 0} + ker a)``,
-    which is ``Z / gcd(b_k)``.
+    which is ``Z / gcd(b_k)``.  The row gcds are kept on that form, which is
+    kept on ``a``, so every later call on the same matrix object (each
+    chamber model of a game shares its input's weights) only reads them.
 
     Raises:
         MustStandardizeFirstError: if ``a`` itself is not standard.
     """
     form = _SmithForm.of(a)
     form.require_standard("weight matrix")
-    return all(g == 1 for g in form.gale_row_gcds())
+    gcds = form.gale_row_gcds()
+    return gcds.count(1) == len(gcds)
 
 
 def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
@@ -596,7 +602,7 @@ def verify_certificate(
 
 
 def _column_gcds(m: IntMatrix) -> tuple[int, ...]:
-    return tuple(gcd(*m.column(j)) for j in range(m.cols))
+    return tuple(gcd(*c) for c in zip(*m.entries))
 
 
 def _ideal_signature(ideal: MonomialIdeal, n: int) -> list[tuple[int, ...]]:

@@ -64,13 +64,13 @@ class Fan:
         d = self.lattice_dim
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise InvalidArgumentError("lattice dimension must be a positive integer")
-        rays = tuple(tuple(int(e) for e in ray) for ray in self.rays)
+        rays = tuple(tuple(map(int, ray)) for ray in self.rays)
         if not rays:
             raise InvalidArgumentError("a fan needs at least one ray")
         for ray in rays:
             if len(ray) != d:
                 raise InvalidArgumentError(f"ray {ray} does not live in Z^{d}")
-            if all(e == 0 for e in ray):
+            if not any(ray):
                 raise InvalidArgumentError("zero vector cannot be a ray")
             if gcd(*ray) != 1:
                 raise InvalidArgumentError(f"ray {ray} is not primitive")

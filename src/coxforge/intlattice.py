@@ -87,7 +87,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.column(j) for j in range(self.cols))
+        return tuple(zip(*self.entries))
 
     def __getstate__(self) -> dict:
         # Pickles and copies carry the value alone, never the Smith-form memo.
@@ -169,7 +169,11 @@ class _SmithForm:
     ``u @ m @ v = diag`` (``u`` is dropped), so the columns of ``v`` past the
     rank span the integer kernel of ``m``.  :meth:`of` keeps the form on the
     matrix it came from, in the private attribute ``_smith_form``; the
-    matrix is frozen, so the form never goes stale.
+    matrix is frozen, so the form never goes stale.  In the same way
+    :meth:`gale_row_gcds` keeps its tuple on the form, in
+    ``_gale_row_gcds``, so each presentation built on the matrix reads its
+    well-formedness without walking ``v`` again.  Neither memo is a field:
+    hashes, reprs, equality and pickles of the matrix never see them.
     """
 
     rows: int
@@ -197,9 +201,17 @@ class _SmithForm:
         if not self.is_standard:
             raise MustStandardizeFirstError(f"{what} is not standard; run standardize first")
 
-    def gale_row_gcds(self) -> list[int]:
-        """Per column ``k``: minor gcd of the standard matrix less ``k`` (0 if rank drops)."""
-        return [gcd(*row[self.rows :]) for row in self.v]  # gcds of the Gale dual rows
+    def gale_row_gcds(self) -> tuple[int, ...]:
+        """Per column ``k``: minor gcd of the standard matrix less ``k`` (0 if rank drops).
+
+        These are the gcds of the Gale dual rows, computed at most once per
+        form and kept on it.
+        """
+        gcds = vars(self).get("_gale_row_gcds")
+        if gcds is None:
+            gcds = tuple(gcd(*row[self.rows :]) for row in self.v)
+            object.__setattr__(self, "_gale_row_gcds", gcds)
+        return gcds
 
     def kernel_basis(self) -> IntMatrix:
         rk, n = self.rank, len(self.v)

@@ -97,6 +97,17 @@ def is_terminal_cyclic(q: QuotientSingularity) -> bool:
     ``sum_i ((j*w_i) mod r) > r`` for all ``j = 1..r-1``.  Index 1 (smooth)
     counts as terminal.
 
+    Most types are decided in closed form, without the loop over ``j``:
+
+    * in dimension 1 or 2 the inverse of a weight has age at most 1, so
+      the type is not terminal;
+    * two weights with ``a + b = 0 mod r`` give every element age exactly
+      1 from that pair, so with a third weight the type is terminal;
+    * in dimension 3 such a pair is also necessary, by the Terminal Lemma
+      (Morrison & Stevens, Proc. AMS 90, 1984).
+
+    Only dimension 4 and above with no such pair runs the loop.
+
     Raises:
         UnsupportedFeatureError: for non-isolated types (some weight shares
             a factor with the index), where the cyclic criterion alone does
@@ -111,6 +122,16 @@ def is_terminal_cyclic(q: QuotientSingularity) -> bool:
             f"type {t} is not isolated (a weight shares a factor with the "
             "index); terminality is undecided here"
         )
+    dim = len(t.weights)
+    if dim <= 2:
+        return False
+    seen: set[int] = set()
+    for w in t.weights:
+        if r - w in seen:  # an earlier weight pairs with this one
+            return True
+        seen.add(w)
+    if dim == 3:
+        return False
     return all(
         sum((j * w) % r for w in t.weights) > r for j in range(1, r)
     )

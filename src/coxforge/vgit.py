@@ -118,8 +118,8 @@ class Chamber:
     index: int
 
     def __post_init__(self) -> None:
-        left = tuple(int(e) for e in self.left)
-        right = tuple(int(e) for e in self.right)
+        left = tuple(map(int, self.left))
+        right = tuple(map(int, self.right))
         if left == right:
             raise InvalidArgumentError("chamber walls must be distinct")
         if self.index < 0:
@@ -146,13 +146,11 @@ class WallCrossing:
     base_weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "wall", tuple(int(e) for e in self.wall))
-        object.__setattr__(self, "type_vector", tuple(int(e) for e in self.type_vector))
-        object.__setattr__(self, "base_vars", tuple(int(e) for e in self.base_vars))
-        object.__setattr__(
-            self, "base_weights", tuple(int(e) for e in self.base_weights)
-        )
-        if any(t == 0 for t in self.type_vector):
+        object.__setattr__(self, "wall", tuple(map(int, self.wall)))
+        object.__setattr__(self, "type_vector", tuple(map(int, self.type_vector)))
+        object.__setattr__(self, "base_vars", tuple(map(int, self.base_vars)))
+        object.__setattr__(self, "base_weights", tuple(map(int, self.base_weights)))
+        if 0 in self.type_vector:
             raise InvalidArgumentError("type vector entries must be nonzero")
         total = sum(self.type_vector)
         expected = "Flip" if total > 0 else "AntiFlip" if total < 0 else "Flop"
@@ -181,11 +179,11 @@ class EndBehavior:
     beyond_count: int = 0  # always 0 from _end; kept for perfbench digests
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ray", tuple(int(e) for e in self.ray))
+        object.__setattr__(self, "ray", tuple(map(int, self.ray)))
         object.__setattr__(
             self,
             "target_generators",
-            tuple(tuple(int(e) for e in g) for g in self.target_generators),
+            tuple(tuple(map(int, g)) for g in self.target_generators),
         )
         if self.kind not in ("Fibration", "DivisorialContraction"):
             raise InvalidArgumentError(f"unknown end kind {self.kind!r}")
@@ -239,7 +237,7 @@ class _Sweep:
     def __init__(self, p: CoxPresentation) -> None:
         _require_rank2(p)
         self.p = p
-        self.cols = [p.weights.column(j) for j in range(p.num_variables)]
+        self.cols = p.weights.columns()
         self.dirs = [primitive_vector(c) for c in self.cols]
         self.lo, self.hi = _support_extremes(self.dirs)
         walls = _sweep_from(self.dirs, self.lo)
@@ -398,7 +396,7 @@ def _generators(
     cap = degree_bound * (ell[0] * target[0] + ell[1] * target[1])
     n = len(sweep.cols)
     level = {
-        tuple(int(i == j) for i in range(n + 1)): (c, v)
+        (0,) * j + (1,) + (0,) * (n - j): (c, v)
         for j, (c, v) in enumerate(zip(cols, values))
     }
     found: list[tuple[int, ...]] = []
@@ -537,9 +535,7 @@ def anticanonical_in_moving_interior(
                 f"degree {d} does not match rank {p.rank}"
             )
     total = [
-        sum(p.weights.column(j)[i] for j in range(p.num_variables))
-        - sum(d[i] for d in degs)
-        for i in range(p.rank)
+        sum(row) - sum(d[i] for d in degs) for i, row in enumerate(p.weights.entries)
     ]
     if p.rank == 1:
         cols = [p.weights.entries[0][j] for j in range(p.num_variables)]

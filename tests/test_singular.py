@@ -1,7 +1,12 @@
 """Cyclic quotient singularities and chart reports for weighted bundles."""
 
+import time
+from itertools import combinations_with_replacement
+from math import gcd
+
 import pytest
 
+from coxforge.cli import main
 from coxforge.errors import InvalidArgumentError, UnsupportedFeatureError
 from coxforge.galefan import WeightedBundleSpec
 from coxforge.singular import (
@@ -148,3 +153,86 @@ class TestWeightedBundleCharts:
     def test_chart_report_validation(self):
         with pytest.raises(InvalidArgumentError):
             ChartReport((-1, 0), Q(1, ()))
+
+
+# ---------------------------------------------------------------------------
+# terminality in closed form against the Reid-Tai loop
+
+
+def reid_tai_loop(q):
+    """The earlier ``is_terminal_cyclic``: the age of every group element (oracle)."""
+    t = q.transverse()
+    r = t.index
+    if r == 1:
+        return True
+    if any(gcd(w, r) != 1 for w in t.weights):
+        raise UnsupportedFeatureError(
+            f"type {t} is not isolated (a weight shares a factor with the "
+            "index); terminality is undecided here"
+        )
+    return all(
+        sum((j * w) % r for w in t.weights) > r for j in range(1, r)
+    )
+
+
+def isolated_types(dim, max_index):
+    """Every isolated type ``1/r(w_1..w_dim)`` with sorted unit weights, ``r <= max_index``."""
+    for r in range(2, max_index + 1):
+        units = [w for w in range(1, r) if gcd(w, r) == 1]
+        for weights in combinations_with_replacement(units, dim):
+            yield Q(r, weights)
+
+
+class TestTerminalLemma:
+    @pytest.mark.parametrize("dim, max_index", [(1, 32), (2, 32), (3, 32), (4, 18), (5, 13)])
+    def test_agrees_with_the_loop_on_isolated_types(self, dim, max_index):
+        verdicts = {True: 0, False: 0}
+        for q in isolated_types(dim, max_index):
+            expected = reid_tai_loop(q)
+            assert is_terminal_cyclic(q) is expected, q
+            verdicts[expected] += 1
+        if dim >= 3:
+            assert min(verdicts.values()) > 0, verdicts
+
+    def test_non_isolated_and_trivial_factors_agree(self):
+        cases = [Q(4, (1, 2, 3)), Q(6, (1, 5, 2, 0)), Q(9, (3, 1, 8)), Q(5, (0, 0)),
+                 Q(7, (1, 6, 0, 3)), Q(8, (1, 1, 1, 5, 0))]
+        for q in cases:
+            try:
+                expected = reid_tai_loop(q)
+            except UnsupportedFeatureError as exc:
+                with pytest.raises(UnsupportedFeatureError) as got:
+                    is_terminal_cyclic(q)
+                assert str(got.value) == str(exc)
+            else:
+                assert is_terminal_cyclic(q) is expected, q
+
+    def test_large_index_pair(self):
+        # the loop ran r - 1 = 10,000,018 ages here (about 10 s)
+        r = 10_000_019
+        start = time.perf_counter()
+        assert is_terminal_cyclic(Q(r, (1, r - 1, 2)))
+        assert not is_terminal_cyclic(Q(r, (1, 2, 3)))
+        assert time.perf_counter() - start < 1.0
+
+    def test_charts_on_a_large_weight_bundle(self, tmp_path, capsys):
+        # fiber weights (1, 1000002, 2, 1000003): the loop took about 2 s
+        path = tmp_path / "bundle.cox"
+        path.write_text(
+            "rank 2\nvars y0 y1 x0 x1 x2 x3\n"
+            "1 1 0 0 0 -1\n0 0 1 1000002 2 1000003\n"
+            "irrelevant (y0,y1)(x0,x1,x2,x3)\n"
+        )
+        start = time.perf_counter()
+        assert main(["charts", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out.splitlines() == [
+            f"U({i},{j}): {t} [{v}]"
+            for i in range(2)
+            for j, t, v in [
+                (0, "1/1(0,0,0,0)", "smooth"),
+                (1, "1/1000002(0,1,1,2)", "undecided"),
+                (2, "1/2(0,0,1,1)", "non-terminal"),
+                (3, "1/1000003(0,1,2,1000002)", "terminal"),
+            ]
+        ]

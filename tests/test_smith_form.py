@@ -232,6 +232,31 @@ class TestSmithFormMemo:
         assert _SmithForm.of(fresh) == form and _SmithForm.of(fresh) is not form
         assert _SmithForm.of(M([[1, 1, 1, 0, -2], [0, 0, 0, 1, 1]])) != form
 
+    def test_gale_gcd_memo_stays_out_of_the_values(self):
+        m = M([[3, 3, 3, 0, -2], [1, 1, 1, 2, 0]])
+        form = _SmithForm.of(m)
+        before = (hash(m), repr(m), dataclasses.fields(m), pickle.dumps(m))
+        form_before = (hash(form), repr(form), dataclasses.fields(form))
+        gcds = form.gale_row_gcds()
+        assert type(gcds) is tuple  # callers share it, so it cannot be mutable
+        assert vars(form)["_gale_row_gcds"] is gcds
+        assert form.gale_row_gcds() is gcds  # computed once per form
+        assert (hash(m), repr(m), dataclasses.fields(m), pickle.dumps(m)) == before
+        assert (hash(form), repr(form), dataclasses.fields(form)) == form_before
+        twin = _SmithForm(form.rows, form.diag, form.v)
+        assert twin == form and form == twin and "_gale_row_gcds" not in vars(twin)
+        assert twin.gale_row_gcds() == gcds == tuple(gcd(*row[2:]) for row in form.v)
+        for copied in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert copied == m and "_smith_form" not in vars(copied)
+
+    def test_presentations_on_one_matrix_share_the_gcds(self):
+        weights = M([[1, 1, 1, 0, -2], [0, 0, 0, 1, 1]])
+        first = P("xyztu", weights.entries, [(0, 1, 2), (3, 4)])
+        gcds = _SmithForm.of(first.weights).gale_row_gcds()
+        again = CoxPresentation(first.variables, first.weights, MonomialIdeal(((0, 1, 2, 3), (4,))))
+        assert _SmithForm.of(again.weights).gale_row_gcds() is gcds
+        assert is_well_formed(first.weights) and gcds == (1,) * 5
+
     def test_form_is_kept_per_object(self, smith_calls):
         m = M([[1, 2, 3], [4, 5, 6]])
         assert _SmithForm.of(m) is _SmithForm.of(m)
