@@ -8,6 +8,16 @@ and ``equiv``.  Exit codes: 0 success, 2 input or validation error
 closed before the result was written.  ``--json`` switches to a
 byte-stable machine-readable form (sorted keys, 0-based indices); ``--dot
 FILE`` writes a Graphviz diagram for ``game`` and ``cox2fan``.
+
+A process loads only what its verb uses.  Importing this module loads
+``errors``, ``intlattice`` (with ``_kernels``), ``coxpres`` and ``formats``,
+which is all that ``standardize``, ``wellform``, ``wps`` and ``equiv`` need.
+The other verbs import their layers when they run: ``gale``, ``fan2cox``,
+``cox2fan`` and ``subdivide`` load ``galefan``; ``chambers``, ``game`` and
+``gens`` load ``vgit``; ``blowup`` and ``discrepancy`` load ``blowup`` and
+``galefan``; ``charts`` loads those two and ``singular``.  The parser
+registers only the verb named by the first argument, and every verb when
+that argument names none (help, ``--version``, no argument, a typo).
 """
 
 from __future__ import annotations
@@ -19,9 +29,6 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .blowup import BlowupSpec, blow_up_weighted_bundle, blowup_map_description
-from .blowup import bundle_spec_of, discrepancy as blowup_discrepancy
-from .blowup import solve_exceptional_weight
 from .coxpres import (
     CoxPresentation,
     presentations_equivalent,
@@ -39,22 +46,7 @@ from .formats import (
     serialize_matrix,
     serialize_presentation,
 )
-from .galefan import (
-    fan_from_presentation,
-    gale_dual,
-    irrelevant_ideal_from_fan,
-    star_subdivision,
-    weights_from_rays,
-)
 from .intlattice import IntMatrix, minor_gcd, standardize
-from .singular import classify_type, weighted_bundle_charts
-from .vgit import (
-    chambers_rank2,
-    graded_ring_generators,
-    model_at_chamber,
-    monomial_string,
-    two_ray_game,
-)
 
 __all__ = ["main"]
 
@@ -175,6 +167,8 @@ def _cmd_wps(args) -> tuple[str, dict]:
 
 
 def _cmd_gale(args) -> tuple[str, dict]:
+    from .galefan import gale_dual
+
     p = parse_presentation(_read(args.file))
     b = gale_dual(p.weights)
     human = ["gale dual rays (one per variable):"]
@@ -189,6 +183,8 @@ def _cmd_gale(args) -> tuple[str, dict]:
 
 
 def _cmd_fan2cox(args) -> tuple[str, dict]:
+    from .galefan import irrelevant_ideal_from_fan, weights_from_rays
+
     fan = parse_fan(_read(args.file))
     weights = weights_from_rays(fan.ray_matrix())
     ideal = irrelevant_ideal_from_fan(fan)
@@ -227,6 +223,8 @@ def _fan_dot(fan) -> str:
 
 
 def _cmd_cox2fan(args) -> tuple[str, dict]:
+    from .galefan import fan_from_presentation
+
     p = parse_presentation(_read(args.file))
     fan = fan_from_presentation(p)
     if args.dot:
@@ -235,12 +233,17 @@ def _cmd_cox2fan(args) -> tuple[str, dict]:
 
 
 def _cmd_subdivide(args) -> tuple[str, dict]:
+    from .galefan import star_subdivision
+
     fan = parse_fan(_read(args.file))
     result = star_subdivision(fan, tuple(args.ray))
     return serialize_fan(result).rstrip(), {"fan": _fan_payload(result)}
 
 
 def _cmd_charts(args) -> tuple[str, dict]:
+    from .blowup import bundle_spec_of
+    from .singular import classify_type, weighted_bundle_charts
+
     p = parse_presentation(_read(args.file))
     spec = bundle_spec_of(p)
     reports = weighted_bundle_charts(spec)
@@ -262,6 +265,8 @@ def _cmd_charts(args) -> tuple[str, dict]:
 
 
 def _cmd_chambers(args) -> tuple[str, dict]:
+    from .vgit import chambers_rank2, model_at_chamber
+
     p = parse_presentation(_read(args.file))
     walls, chambers = chambers_rank2(p)
     human = ["walls: " + " ".join(f"({w[0]},{w[1]})" for w in walls)]
@@ -290,6 +295,8 @@ def _cmd_chambers(args) -> tuple[str, dict]:
 
 
 def _end_text(p: CoxPresentation, end) -> str:
+    from .vgit import monomial_string
+
     gens = " ".join(monomial_string(p.variables, g) for g in end.target_generators)
     ray = f"({end.ray[0]},{end.ray[1]})"
     if end.kind == "Fibration":
@@ -302,6 +309,8 @@ def _end_text(p: CoxPresentation, end) -> str:
 
 
 def _end_payload(p: CoxPresentation, end) -> dict:
+    from .vgit import monomial_string
+
     out = {
         "kind": end.kind,
         "ray": list(end.ray),
@@ -326,6 +335,8 @@ def _crossing_text(p: CoxPresentation, c) -> str:
 
 
 def _game_dot(p: CoxPresentation, game) -> str:
+    from .vgit import monomial_string
+
     lines = ["digraph game {", "  rankdir=LR;", "  node [shape=box];"]
     for i, model in enumerate(game.models):
         lines.append(f'  m{i} [label="{model.ideal_by_name()}"];')
@@ -347,6 +358,8 @@ def _game_dot(p: CoxPresentation, game) -> str:
 
 
 def _cmd_game(args) -> tuple[str, dict]:
+    from .vgit import two_ray_game
+
     p = parse_presentation(_read(args.file))
     game = two_ray_game(p, degree_bound=args.bound)
     human = [f"models: {len(game.models)}"]
@@ -376,6 +389,8 @@ def _cmd_game(args) -> tuple[str, dict]:
 
 
 def _cmd_gens(args) -> tuple[str, dict]:
+    from .vgit import graded_ring_generators, monomial_string
+
     p = parse_presentation(_read(args.file))
     gens = graded_ring_generators(p, (args.chi1, args.chi2), args.bound)
     names = [monomial_string(p.variables, g) for g in gens]
@@ -389,6 +404,13 @@ def _cmd_gens(args) -> tuple[str, dict]:
 
 
 def _cmd_blowup(args) -> tuple[str, dict]:
+    from .blowup import (
+        BlowupSpec,
+        blow_up_weighted_bundle,
+        blowup_map_description,
+        bundle_spec_of,
+    )
+
     p = parse_presentation(_read(args.file))
     bundle = bundle_spec_of(p)
     try:
@@ -424,6 +446,8 @@ def _cmd_blowup(args) -> tuple[str, dict]:
 
 
 def _cmd_discrepancy(args) -> tuple[str, dict]:
+    from .blowup import discrepancy, solve_exceptional_weight
+
     job = parse_blowup_job(_read(args.file))
     if job.spec.is_pattern:
         if job.target is None:
@@ -432,14 +456,14 @@ def _cmd_discrepancy(args) -> tuple[str, dict]:
             )
         value = solve_exceptional_weight(job.spec, job.ci, job.target, job.bound)
         solved = job.spec.with_unknown(value)
-        d = blowup_discrepancy(solved, job.ci)
+        d = discrepancy(solved, job.ci)
         human = f"solved exceptional weight: {value}\ndiscrepancy: {d}"
         return human, {
             "solved_weight": value,
             "discrepancy": str(d),
             "target": str(job.target),
         }
-    d = blowup_discrepancy(job.spec, job.ci)
+    d = discrepancy(job.spec, job.ci)
     payload = {"discrepancy": str(d)}
     human = f"discrepancy: {d}"
     if job.target is not None:
@@ -461,79 +485,101 @@ def _cmd_equiv(args) -> tuple[str, dict]:
 # argument parsing and dispatch
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+# Every verb: its handler, help line and arguments (each also takes --json).
+_VERBS = {
+    "standardize": (_cmd_standardize, "factor a matrix as unimodular × standard", (
+        _arg("file", help="matrix file"),
+    )),
+    "wellform": (_cmd_wellform, "well-form a presentation with a certificate", (
+        _arg("file", help="presentation file"),
+    )),
+    "wps": (_cmd_wps, "well-form weighted projective space weights", (
+        _arg("weights", nargs="+", type=int, help="positive weights"),
+    )),
+    "gale": (_cmd_gale, "Gale-dual rays of a presentation's weights", (
+        _arg("file", help="presentation file"),
+    )),
+    "fan2cox": (_cmd_fan2cox, "Cox presentation of a simplicial fan", (
+        _arg("file", help="fan file"),
+    )),
+    "cox2fan": (_cmd_cox2fan, "fan of a well-formed presentation", (
+        _arg("file", help="presentation file"),
+        _arg("--dot", metavar="FILE", help="write cone adjacency graph"),
+    )),
+    "subdivide": (_cmd_subdivide, "star subdivision of a fan at a ray", (
+        _arg("file", help="fan file"),
+        _arg("ray", nargs="+", type=int, help="ray coordinates"),
+    )),
+    "charts": (_cmd_charts, "singularity types of bundle fixed points", (
+        _arg("file", help="weighted-bundle presentation file"),
+    )),
+    "chambers": (_cmd_chambers, "GIT chamber decomposition (rank 2)", (
+        _arg("file", help="presentation file"),
+    )),
+    "game": (_cmd_game, "full 2-ray game: models, crossings, ends", (
+        _arg("file", help="presentation file"),
+        _arg("--dot", metavar="FILE", help="write game diagram"),
+        _arg("--bound", type=int, default=None, help="generator degree bound"),
+    )),
+    "gens": (_cmd_gens, "graded ring generators for a character", (
+        _arg("file", help="presentation file"),
+        _arg("chi1", type=int, help="first character coordinate"),
+        _arg("chi2", type=int, help="second character coordinate"),
+        _arg("--bound", type=int, default=3, help="degree bound (default 3)"),
+    )),
+    "blowup": (_cmd_blowup, "blow up a weighted bundle at a fixed point", (
+        _arg("file", help="weighted-bundle presentation file"),
+        _arg("--center", required=True, metavar="R,S", help="fixed point indices"),
+        _arg("--k", required=True, type=int, help="distinguished fiber index"),
+        _arg("--b", required=True, metavar="LIST", help="exceptional weights"),
+        _arg("--newvar", default="xi", help="exceptional variable name"),
+    )),
+    "discrepancy": (_cmd_discrepancy, "discrepancy of a blow-up job file", (
+        _arg("file", help="blow-up job file"),
+    )),
+    "equiv": (_cmd_equiv, "are two presentations the same variety?", (
+        _arg("file", help="first presentation file"),
+        _arg("other", help="second presentation file"),
+    )),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only its verb if it starts with one, else all.
+
+    Help, ``--version``, no arguments and unknown verbs get every verb.
+    """
+    verb = argv[0] if argv and argv[0] in _VERBS else None
     parser = argparse.ArgumentParser(
         prog="coxforge",
         description="Exact toolkit for toric varieties presented by Cox data.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name: str, handler, help_text: str):
+    sub = parser.add_subparsers(
+        dest="verb",
+        required=True,
+        # The usage line of a one-verb parser (printed for an unrecognized
+        # argument) still lists every verb.
+        metavar=None if verb is None else "{" + ",".join(_VERBS) + "}",
+    )
+    for name in _VERBS if verb is None else (verb,):
+        handler, help_text, arguments = _VERBS[name]
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--json", action="store_true", help="machine-readable output")
         s.set_defaults(handler=handler)
-        return s
-
-    s = add("standardize", _cmd_standardize, "factor a matrix as unimodular × standard")
-    s.add_argument("file", help="matrix file")
-
-    s = add("wellform", _cmd_wellform, "well-form a presentation with a certificate")
-    s.add_argument("file", help="presentation file")
-
-    s = add("wps", _cmd_wps, "well-form weighted projective space weights")
-    s.add_argument("weights", nargs="+", type=int, help="positive weights")
-
-    s = add("gale", _cmd_gale, "Gale-dual rays of a presentation's weights")
-    s.add_argument("file", help="presentation file")
-
-    s = add("fan2cox", _cmd_fan2cox, "Cox presentation of a simplicial fan")
-    s.add_argument("file", help="fan file")
-
-    s = add("cox2fan", _cmd_cox2fan, "fan of a well-formed presentation")
-    s.add_argument("file", help="presentation file")
-    s.add_argument("--dot", metavar="FILE", help="write cone adjacency graph")
-
-    s = add("subdivide", _cmd_subdivide, "star subdivision of a fan at a ray")
-    s.add_argument("file", help="fan file")
-    s.add_argument("ray", nargs="+", type=int, help="ray coordinates")
-
-    s = add("charts", _cmd_charts, "singularity types of bundle fixed points")
-    s.add_argument("file", help="weighted-bundle presentation file")
-
-    s = add("chambers", _cmd_chambers, "GIT chamber decomposition (rank 2)")
-    s.add_argument("file", help="presentation file")
-
-    s = add("game", _cmd_game, "full 2-ray game: models, crossings, ends")
-    s.add_argument("file", help="presentation file")
-    s.add_argument("--dot", metavar="FILE", help="write game diagram")
-    s.add_argument("--bound", type=int, default=None, help="generator degree bound")
-
-    s = add("gens", _cmd_gens, "graded ring generators for a character")
-    s.add_argument("file", help="presentation file")
-    s.add_argument("chi1", type=int, help="first character coordinate")
-    s.add_argument("chi2", type=int, help="second character coordinate")
-    s.add_argument("--bound", type=int, default=3, help="degree bound (default 3)")
-
-    s = add("blowup", _cmd_blowup, "blow up a weighted bundle at a fixed point")
-    s.add_argument("file", help="weighted-bundle presentation file")
-    s.add_argument("--center", required=True, metavar="R,S", help="fixed point indices")
-    s.add_argument("--k", required=True, type=int, help="distinguished fiber index")
-    s.add_argument("--b", required=True, metavar="LIST", help="exceptional weights")
-    s.add_argument("--newvar", default="xi", help="exceptional variable name")
-
-    s = add("discrepancy", _cmd_discrepancy, "discrepancy of a blow-up job file")
-    s.add_argument("file", help="blow-up job file")
-
-    s = add("equiv", _cmd_equiv, "are two presentations the same variety?")
-    s.add_argument("file", help="first presentation file")
-    s.add_argument("other", help="second presentation file")
-
+        for flags, options in arguments:
+            s.add_argument(*flags, **options)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -166,8 +166,9 @@ class MonomialIdeal:
     components: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        seen: list[frozenset[int]] = []
-        normal: list[tuple[int, ...]] = []
+        seen: dict[frozenset[int], tuple[int, ...]] = {}  # first-seen order
+        covered: set[int] = set()  # the indices of the components so far
+        overlap = False  # whether a component meets an earlier one
         ints = {int}
         for comp in self.components:
             entries = tuple(comp)
@@ -182,18 +183,27 @@ class MonomialIdeal:
             key = frozenset(entries)
             if len(key) != len(entries):
                 raise InvalidArgumentError(f"repeated index in component {entries}")
-            if key in seen:
-                continue
-            seen.append(key)
-            normal.append(tuple(sorted(entries)))
-        for a in seen:
-            for b in seen:
-                if a < b:
-                    raise InvalidArgumentError(
-                        "components must form an antichain: "
-                        f"{tuple(sorted(a))} is contained in {tuple(sorted(b))}"
-                    )
-        object.__setattr__(self, "components", tuple(normal))
+            if key not in seen:
+                seen[key] = tuple(sorted(entries))
+                overlap = overlap or not covered.isdisjoint(key)
+                covered |= key
+        # Pairwise disjoint components form an antichain.  Otherwise only a
+        # strictly larger set can contain another, so each set is tested
+        # against the larger ones, largest first, up to the first that is
+        # not larger; the pair reported is the first in order.
+        if overlap:
+            largest_first = sorted(seen, key=len, reverse=True)
+            for a in seen:
+                for b in largest_first:
+                    if len(b) <= len(a):
+                        break
+                    if a < b:
+                        b = next(b for b in seen if a < b)
+                        raise InvalidArgumentError(
+                            "components must form an antichain: "
+                            f"{seen[a]} is contained in {seen[b]}"
+                        )
+        object.__setattr__(self, "components", tuple(seen.values()))
 
     # set semantics: the intersection does not depend on component order
     def _key(self) -> frozenset[frozenset[int]]:

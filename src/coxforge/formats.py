@@ -47,14 +47,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .blowup import BlowupSpec, CIData, Equation
 from .coxpres import CoxPresentation, MonomialIdeal
 from .errors import CoxforgeError, FormatError
-from .galefan import Fan
 from .intlattice import IntMatrix
+
+# For annotations only: the parsers import these where they use them, so a
+# CLI verb that reads no fan or blow-up job does not load their modules.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .blowup import BlowupSpec, CIData, Equation
+    from .galefan import Fan
 
 __all__ = [
     "parse_matrix",
@@ -179,6 +184,8 @@ def serialize_presentation(p: CoxPresentation) -> str:
 
 
 def parse_fan(text: str) -> Fan:
+    from .galefan import Fan
+
     lines = _lines(text)
     if not lines:
         raise FormatError("empty fan input")
@@ -236,6 +243,10 @@ class BlowupJob:
 
 
 def parse_blowup_job(text: str) -> BlowupJob:
+    from fractions import Fraction
+
+    from .blowup import BlowupSpec, CIData
+
     center = None
     k = None
     fiber = None
@@ -304,6 +315,8 @@ def parse_blowup_job(text: str) -> BlowupJob:
 
 
 def _parse_equation(no: int, tokens: list[str]) -> Equation:
+    from .blowup import Equation
+
     if not tokens or tokens[0] != "deg":
         raise FormatError(f"line {no}: equation must start with 'deg'")
     degree = []

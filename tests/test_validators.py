@@ -12,7 +12,9 @@ coerced ``int`` and an ``IntEnum`` member stay apart).
 
 import dataclasses
 import enum
+import itertools
 import random
+import timeit
 from math import gcd
 from types import SimpleNamespace
 
@@ -404,3 +406,38 @@ def test_random_values_store_the_same_fields():
         check(Fan, d, rays, cones)
         check(Fan, d, rays, cones[:1])
     assert min(ok.values()) >= 50, ok
+
+
+def test_random_families_with_duplicates_and_containments():
+    # Repeated components, in any order, and components inside or around
+    # earlier ones: the same stored components or the same first pair.
+    rng = random.Random(20261019)
+    outcomes = {"ok": 0, InvalidArgumentError: 0}
+    for _ in range(600):
+        n = rng.randint(2, 8)
+        size = rng.randint(1, n)  # sets of one size form an antichain
+        family = [rng.sample(range(n), rng.choice([size, size, rng.randint(1, n)]))
+                  for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 3)):
+            base = rng.choice(family)
+            roll = rng.random()
+            if roll < 0.6:  # a duplicate, reordered
+                extra = rng.sample(base, len(base))
+            elif roll < 0.7 and len(base) > 1:  # inside an earlier one
+                extra = rng.sample(base, rng.randint(1, len(base) - 1))
+            else:  # around an earlier one
+                extra = base + [i for i in range(n, n + rng.randint(1, 2))]
+            family.insert(rng.randint(0, len(family)), extra)
+        outcomes[agree(MonomialIdeal, tuple(map(tuple, family)))[0]] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_many_components_are_checked_against_larger_ones_only():
+    # The 3,160 edges of K_80: no edge can contain another, so no pair of
+    # them is compared (an all-pairs check took about 0.5 s).
+    edges = tuple(itertools.combinations(range(80), 2))
+    best = min(timeit.repeat(lambda: MonomialIdeal(edges), number=1, repeat=3))
+    assert best < 0.05, best
+    assert MonomialIdeal(edges).components == edges
+    with pytest.raises(InvalidArgumentError, match=r"\(3, 5\) is contained in \(3, 5, 7\)$"):
+        MonomialIdeal(edges + ((3, 5, 7),))
