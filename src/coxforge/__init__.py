@@ -10,17 +10,8 @@ from __future__ import annotations
 
 from importlib import import_module
 
-from .errors import (
-    CoxforgeError,
-    FormatError,
-    InvalidArgumentError,
-    MustStandardizeFirstError,
-    NotQuasiProjectiveError,
-    OutsideSupportError,
-    RankError,
-    SolveNotFoundError,
-    UnsupportedFeatureError,
-)
+from . import errors
+from .errors import *  # noqa: F403 -- the names in ``errors.__all__``
 
 # Each public name outside ``errors`` and the submodule that defines it.
 # ``__getattr__`` imports that submodule on first use, so ``import coxforge``
@@ -88,99 +79,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "CoxforgeError",
-    "FormatError",
-    "InvalidArgumentError",
-    "MustStandardizeFirstError",
-    "NotQuasiProjectiveError",
-    "OutsideSupportError",
-    "RankError",
-    "SolveNotFoundError",
-    "UnsupportedFeatureError",
-    # integer lattice layer
-    "IntMatrix",
-    "UnimodularWitness",
-    "det",
-    "hnf_canonical",
-    "hnf_transform",
-    "integer_inverse",
-    "is_standard",
-    "kernel_basis",
-    "minor_gcd",
-    "primitive_vector",
-    "rank",
-    "smith_diagonal",
-    "smith_transforms",
-    "standardize",
-    "standardize_with_steps",
-    "unimodular_row_equivalent",
-    # presentations and well-forming
-    "MonomialIdeal",
-    "CoxPresentation",
-    "RowTransform",
-    "ColumnScale",
-    "RowDivide",
-    "WellFormingCertificate",
-    "is_well_formed",
-    "well_form",
-    "wps_well_form",
-    "coarse_moduli",
-    "verify_certificate",
-    "presentations_equivalent",
-    "minimal_transversals",
-    # Gale duality and fans
-    "Fan",
-    "WeightedBundleSpec",
-    "gale_dual",
-    "weights_from_rays",
-    "weighted_bundle_fan",
-    "irrelevant_ideal_from_fan",
-    "fan_from_presentation",
-    "star_subdivision",
-    # quotient singularities
-    "QuotientSingularity",
-    "ChartReport",
-    "weighted_bundle_charts",
-    "fixed_point_type",
-    "normalize_type",
-    "is_terminal_cyclic",
-    "classify_type",
-    # variation of GIT
-    "Chamber",
-    "WallCrossing",
-    "EndBehavior",
-    "GameDiagram",
-    "chambers_rank2",
-    "model_at_chamber",
-    "wall_crossing",
-    "cones_rank2",
-    "graded_ring_generators",
-    "end_behavior",
-    "two_ray_game",
-    "anticanonical_in_moving_interior",
-    "monomial_string",
-    # blow-ups and discrepancies
-    "BlowupSpec",
-    "bundle_spec_of",
-    "Equation",
-    "CIData",
-    "blow_up_weighted_bundle",
-    "blow_up_wps",
-    "blowup_map_description",
-    "pullback_order",
-    "discrepancy",
-    "solve_exceptional_weight",
-    # file formats
-    "parse_matrix",
-    "serialize_matrix",
-    "parse_presentation",
-    "serialize_presentation",
-    "parse_fan",
-    "serialize_fan",
-    "BlowupJob",
-    "parse_blowup_job",
-    "serialize_blowup_job",
-]
+__all__ = ["__version__", *errors.__all__, *_LAZY]

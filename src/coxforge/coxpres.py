@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from math import gcd
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
+from . import _kernels
 from .errors import (
     InvalidArgumentError,
     RankError,
@@ -407,44 +408,46 @@ class WellFormingCertificate:
         object.__setattr__(self, "steps", steps)
 
 
+def _apply_step(work: IntMatrix, step: Step) -> IntMatrix:
+    """Apply one certificate step, raising when its hypothesis fails."""
+    if isinstance(step, RowTransform):
+        g = step.witness.matrix
+        if g.cols != work.rows:
+            raise InvalidArgumentError("row transform of the wrong size")
+        return g @ work
+    if isinstance(step, ColumnScale):
+        j, q, i = step.column, step.factor, step.row
+        if j >= work.cols or i >= work.rows:
+            raise InvalidArgumentError("column scale out of range")
+        if any(work.entries[i][t] % q != 0 for t in range(work.cols) if t != j):
+            raise InvalidArgumentError(
+                f"column scale hypothesis fails: row {i} is not divisible "
+                f"by {q} away from column {j}"
+            )
+        return IntMatrix(
+            tuple(
+                tuple(e * q if t == j else e for t, e in enumerate(row))
+                for row in work.entries
+            )
+        )
+    i, q = step.row, step.factor  # RowDivide
+    if i >= work.rows:
+        raise InvalidArgumentError("row divide out of range")
+    if any(e % q != 0 for e in work.entries[i]):
+        raise InvalidArgumentError(f"row {i} is not divisible by {q}")
+    return IntMatrix(
+        tuple(
+            tuple(e // q for e in row) if t == i else row
+            for t, row in enumerate(work.entries)
+        )
+    )
+
+
 def _replay(matrix: IntMatrix, steps: Sequence[Step]) -> IntMatrix:
     """Apply certificate steps, raising on any violated hypothesis."""
     work = matrix
     for step in steps:
-        if isinstance(step, RowTransform):
-            g = step.witness.matrix
-            if g.cols != work.rows:
-                raise InvalidArgumentError("row transform of the wrong size")
-            work = g @ work
-        elif isinstance(step, ColumnScale):
-            j, q, i = step.column, step.factor, step.row
-            if j >= work.cols or i >= work.rows:
-                raise InvalidArgumentError("column scale out of range")
-            if any(
-                work.entries[i][t] % q != 0 for t in range(work.cols) if t != j
-            ):
-                raise InvalidArgumentError(
-                    f"column scale hypothesis fails: row {i} is not divisible "
-                    f"by {q} away from column {j}"
-                )
-            work = IntMatrix(
-                tuple(
-                    tuple(e * q if t == j else e for t, e in enumerate(row))
-                    for row in work.entries
-                )
-            )
-        else:  # RowDivide
-            i, q = step.row, step.factor
-            if i >= work.rows:
-                raise InvalidArgumentError("row divide out of range")
-            if any(e % q != 0 for e in work.entries[i]):
-                raise InvalidArgumentError(f"row {i} is not divisible by {q}")
-            work = IntMatrix(
-                tuple(
-                    tuple(e // q for e in row) if t == i else row
-                    for t, row in enumerate(work.entries)
-                )
-            )
+        work = _apply_step(work, step)
     return work
 
 
@@ -502,26 +505,19 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
             # divides every maximal minor the rank drops mod q, so the last
             # row of g @ work is divisible by q away from column k.
             ops, _ = _sl_echelon_ops_mod_p(delete_column(work, k), q)
+            repair: list[Step] = []
             if ops:
                 g = _lift_transvections(ops, r, q)
-                witness = UnimodularWitness.of(g)
-                steps.append(RowTransform(witness))
-                work = g @ work
-            bottom = work.entries[r - 1]
-            if any(bottom[t] % q for t in range(work.cols) if t != k):
-                raise AssertionError("echelon reduction failed to clear the bottom row")
-            steps.append(ColumnScale(k, q, r - 1))
-            work = IntMatrix(
-                tuple(
-                    tuple(e * q if t == k else e for t, e in enumerate(row))
-                    for row in work.entries
-                )
-            )
-            steps.append(RowDivide(r - 1, q))
-            work = IntMatrix(
-                work.entries[: r - 1]
-                + (tuple(e // q for e in work.entries[r - 1]),)
-            )
+                repair.append(RowTransform(UnimodularWitness.of(g)))
+            repair += [ColumnScale(k, q, r - 1), RowDivide(r - 1, q)]
+            try:
+                for step in repair:
+                    work = _apply_step(work, step)
+            except InvalidArgumentError as exc:
+                raise AssertionError(
+                    "echelon reduction failed to clear the bottom row"
+                ) from exc
+            steps.extend(repair)
             gcds = _SmithForm.of(work).gale_row_gcds()
             if gcds[k] * q != d:
                 raise AssertionError("column repair must shave exactly one prime")
@@ -662,45 +658,12 @@ def presentations_equivalent(p: CoxPresentation, q: CoxPresentation) -> bool:
     return _ColumnSearch(pw, qw, a_gcds, b_gcds, a_sig, b_sig).place(0, 0)
 
 
-class _Minors(dict):
-    """Signed minors on the leading rows of a matrix, computed on first use.
-
-    The key is an increasing tuple of ``k`` columns and the minor uses the
-    first ``k`` rows, expanded along row ``k - 1`` into minors on ``k - 1``
-    rows.
-    """
-
-    def __init__(self, m: IntMatrix) -> None:
-        super().__init__({(): 1})
-        self.entries = m.entries
-
-    def __missing__(self, cols: tuple[int, ...]) -> int:
-        k = len(cols) - 1
-        row = self.entries[k]
-        total = 0
-        for i, c in enumerate(cols):
-            if row[c]:
-                term = row[c] * self[cols[:i] + cols[i + 1 :]]
-                total += -term if (k + i) % 2 else term
-        self[cols] = total
-        return total
-
-
-def _parity(seq: Sequence[int]) -> int:
-    """Sign of the permutation that sorts a sequence of distinct integers."""
-    sign = 1
-    for i, x in enumerate(seq):
-        for y in seq[i + 1 :]:
-            if x > y:
-                sign = -sign
-    return sign
-
-
-def _twins(ideal: MonomialIdeal, m: IntMatrix) -> Iterator[int | None]:
-    """Each column's nearest earlier twin, column by column: an equal column
-    whose swap with it maps ``ideal`` to itself."""
+def _twins(ideal: MonomialIdeal, m: IntMatrix) -> list[int | None]:
+    """Each column's nearest earlier twin, or None: an equal column whose
+    swap with it maps ``ideal`` to itself."""
     comps = ideal._key()
     seen: dict[tuple[int, ...], list[int]] = {}
+    twins: list[int | None] = []
     for j, column in enumerate(zip(*m.entries)):
         earlier = seen.setdefault(column, [])
         twin = None
@@ -709,13 +672,19 @@ def _twins(ideal: MonomialIdeal, m: IntMatrix) -> Iterator[int | None]:
             if frozenset(frozenset(swap.get(v, v) for v in c) for c in comps) == comps:
                 twin = i
                 break
-        yield twin
+        twins.append(twin)
         earlier.append(j)
+    return twins
 
 
-def _minor_checks(m: IntMatrix) -> Iterator[list[tuple[tuple[int, ...], int]]]:
-    """Each column's minor checks, column by column: pairs of ``r - 1``
-    earlier columns and the signed minor they make with the column.
+def _minor(m: IntMatrix, cols: Sequence[int]) -> int:
+    """The maximal minor of ``m`` on ``cols``, taken in that order."""
+    return _kernels.det([[row[c] for c in cols] for row in m.entries])
+
+
+def _minor_checks(m: IntMatrix) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Each column's minor checks: pairs of ``r - 1`` earlier columns and the
+    signed minor they make with the column.
 
     A column checks its minors with every ``r - 1`` earlier columns until
     the columns of the first nonzero minor, a basis, are known.  After that
@@ -723,17 +692,18 @@ def _minor_checks(m: IntMatrix) -> Iterator[list[tuple[tuple[int, ...], int]]]:
     its others, so later columns check only those.
     """
     r = m.rows
-    minors = _Minors(m)
     basis = None
+    out = []
     for s in range(m.cols):
         if basis is None:
             combos: Iterable[tuple[int, ...]] = combinations(range(s), r - 1)
         else:
             combos = (basis[:i] + basis[i + 1 :] for i in range(r))
-        checks = [(c, minors[c + (s,)]) for c in combos]
+        checks = [(c, _minor(m, c + (s,))) for c in combos]
         if basis is None:
             basis = next((c + (s,) for c, minor in checks if minor), None)
-        yield checks
+        out.append(checks)
+    return out
 
 
 class _ColumnSearch:
@@ -741,9 +711,9 @@ class _ColumnSearch:
 
     ``place(src, sign)`` extends a placement of the source columns before
     ``src``; ``sign`` is the common determinant of the row transform, or 0
-    while every minor over placed columns is zero.  A source column's twin
-    and minor checks are built the first time the search reaches it, so a
-    search that fails early builds only what it visits.
+    while every minor over placed columns is zero.  A target minor is taken
+    on its columns in the order their sources were placed, which gives it
+    the sign to compare, and is computed once per search.
     """
 
     def __init__(
@@ -761,20 +731,15 @@ class _ColumnSearch:
             [d for d in range(n) if a_gcds[s] == b_gcds[d] and a_sig[s] == b_sig[d]]
             for s in range(n)
         ]
-        self.twin_stream = _twins(pw.irrelevant, pw.weights)
-        self.check_stream = _minor_checks(pw.weights)
-        self.twin: list[int | None] = []
-        self.checks: list[list[tuple[tuple[int, ...], int]]] = []
-        self.b_minors = _Minors(qw.weights)
+        self.twin = _twins(pw.irrelevant, pw.weights)
+        self.checks = _minor_checks(pw.weights)
+        self.b_minors: dict[tuple[int, ...], int] = {}
         self.targets = [0] * n  # source column -> target column
         self.used = [False] * n
 
     def place(self, src: int, sign: int) -> bool:
         if src == self.n:
             return self._complete()
-        if src == len(self.checks):  # first visit; sources come in order
-            self.twin.append(next(self.twin_stream))
-            self.checks.append(next(self.check_stream))
         twin = self.twin[src]
         floor = -1 if twin is None else self.targets[twin]
         for dst in self.options[src]:
@@ -795,9 +760,10 @@ class _ColumnSearch:
         minor over the placed columns rules the placement out."""
         targets, b_minors = self.targets, self.b_minors
         for combo, ma in self.checks[src]:
-            cols = [targets[s] for s in combo]
-            cols.append(dst)
-            mb = b_minors[tuple(sorted(cols))] * _parity(cols)
+            cols = tuple(targets[s] for s in combo) + (dst,)
+            mb = b_minors.get(cols)
+            if mb is None:
+                mb = b_minors[cols] = _minor(self.qw.weights, cols)
             if sign == 0 and ma:
                 if abs(mb) != abs(ma):
                     return None

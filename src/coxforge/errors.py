@@ -5,6 +5,18 @@ Every error raised on bad user input derives from :class:`CoxforgeError`
 boundaries.  Internal invariant violations use plain ``AssertionError``.
 """
 
+__all__ = [
+    "CoxforgeError",
+    "FormatError",
+    "InvalidArgumentError",
+    "MustStandardizeFirstError",
+    "NotQuasiProjectiveError",
+    "OutsideSupportError",
+    "RankError",
+    "SolveNotFoundError",
+    "UnsupportedFeatureError",
+]
+
 
 class CoxforgeError(ValueError):
     """Base class for all input-level errors raised by coxforge."""

@@ -308,8 +308,23 @@ def primitive_vector(v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
+# Trial division stops to ask for a primality proof when it reaches this odd
+# divisor.  Below ``_MILLER_RABIN_EXACT`` no odd composite is a strong
+# probable prime to every base in ``_MILLER_RABIN_BASES`` (Jiang & Deng,
+# Math. Comp. 83, 2014; Sorenson & Webster, Math. Comp. 86, 2017).
+_TRIAL_LIMIT = 1001
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_EXACT = 318_665_857_834_031_151_167_461
+
+
 def smallest_prime_factor(n: int) -> int:
-    """Least prime factor of ``n >= 2`` by trial division (inputs are small)."""
+    """Least prime factor of ``n >= 2``.
+
+    Trial division, except that once it has passed ``_TRIAL_LIMIT`` a prime
+    ``n`` below ``_MILLER_RABIN_EXACT`` is recognised by the Miller-Rabin
+    test and returned at once, so a large prime minor gcd costs a few
+    modular powers instead of a division per odd number up to its root.
+    """
     if n < 2:
         raise InvalidArgumentError("need n >= 2")
     if n % 2 == 0:
@@ -318,8 +333,35 @@ def smallest_prime_factor(n: int) -> int:
     while f * f <= n:
         if n % f == 0:
             return f
+        if f == _TRIAL_LIMIT and _proven_prime(n):
+            return n
         f += 2
     return n
+
+
+def _proven_prime(n: int) -> bool:
+    """Whether the Miller-Rabin test proves an odd ``n > 37`` prime.
+
+    True means ``n`` is prime.  False means ``n`` is composite, or at least
+    ``_MILLER_RABIN_EXACT``, where these bases decide nothing.
+    """
+    if n >= _MILLER_RABIN_EXACT:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _sl_echelon_ops_mod_p(m: IntMatrix, p: int) -> tuple[list[tuple[int, int, int]], int]:

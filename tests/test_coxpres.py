@@ -3,11 +3,12 @@
 import gc
 import random
 import time
+from itertools import combinations
 from math import gcd
 
 import pytest
 
-from coxforge import _kernels
+from coxforge import _kernels, coxpres
 from coxforge.coxpres import (
     ColumnScale,
     CoxPresentation,
@@ -29,6 +30,12 @@ from coxforge.errors import (
     MustStandardizeFirstError,
     RankError,
     UnsupportedFeatureError,
+)
+from coxforge.galefan import (
+    fan_from_presentation,
+    irrelevant_ideal_from_fan,
+    star_subdivision,
+    weights_from_rays,
 )
 from coxforge.intlattice import (
     IntMatrix,
@@ -490,6 +497,159 @@ def equivalent_by_permutations(p, q):
     return place(0)
 
 
+class MinorSearchReference:
+    """The column search of ``presentations_equivalent`` as it was with
+    cofactor-expanded minors: ``_Minors`` keyed by sorted column tuples,
+    signs by the parity of the placement order, twin and minor checks
+    built the first time the search reaches a column.  ``calls`` counts
+    ``place`` calls, the nodes of the search tree."""
+
+    class Minors(dict):
+        """Signed minors on the leading rows, expanded along the last row."""
+
+        def __init__(self, m):
+            super().__init__({(): 1})
+            self.entries = m.entries
+
+        def __missing__(self, cols):
+            k = len(cols) - 1
+            row = self.entries[k]
+            total = 0
+            for i, c in enumerate(cols):
+                if row[c]:
+                    term = row[c] * self[cols[:i] + cols[i + 1:]]
+                    total += -term if (k + i) % 2 else term
+            self[cols] = total
+            return total
+
+    @staticmethod
+    def parity(seq):
+        sign = 1
+        for i, x in enumerate(seq):
+            for y in seq[i + 1:]:
+                if x > y:
+                    sign = -sign
+        return sign
+
+    @staticmethod
+    def twins(ideal, m):
+        comps = ideal._key()
+        seen = {}
+        for j, column in enumerate(zip(*m.entries)):
+            earlier = seen.setdefault(column, [])
+            twin = None
+            for i in reversed(earlier):
+                swap = {i: j, j: i}
+                if frozenset(frozenset(swap.get(v, v) for v in c) for c in comps) == comps:
+                    twin = i
+                    break
+            yield twin
+            earlier.append(j)
+
+    @classmethod
+    def minor_checks(cls, m):
+        r = m.rows
+        minors = cls.Minors(m)
+        basis = None
+        for s in range(m.cols):
+            if basis is None:
+                combos = combinations(range(s), r - 1)
+            else:
+                combos = (basis[:i] + basis[i + 1:] for i in range(r))
+            checks = [(c, minors[c + (s,)]) for c in combos]
+            if basis is None:
+                basis = next((c + (s,) for c, minor in checks if minor), None)
+            yield checks
+
+    def __init__(self, pw, qw):
+        self.pw, self.qw = pw, qw
+        a, b = pw.weights, qw.weights
+        n = self.n = a.cols
+        a_gcds, b_gcds = column_gcds(a), column_gcds(b)
+        a_sig = ideal_signature(pw.irrelevant, n)
+        b_sig = ideal_signature(qw.irrelevant, n)
+        self.options = [
+            [d for d in range(n) if a_gcds[s] == b_gcds[d] and a_sig[s] == b_sig[d]]
+            for s in range(n)
+        ]
+        self.twin_stream = self.twins(pw.irrelevant, a)
+        self.check_stream = self.minor_checks(a)
+        self.twin, self.checks = [], []
+        self.b_minors = self.Minors(b)
+        self.targets = [0] * n
+        self.used = [False] * n
+        self.calls = 0
+
+    def place(self, src, sign):
+        self.calls += 1
+        if src == self.n:
+            return self.complete()
+        if src == len(self.checks):
+            self.twin.append(next(self.twin_stream))
+            self.checks.append(next(self.check_stream))
+        twin = self.twin[src]
+        floor = -1 if twin is None else self.targets[twin]
+        for dst in self.options[src]:
+            if self.used[dst] or dst <= floor:
+                continue
+            new_sign = self.minor_sign(src, dst, sign)
+            if new_sign is None:
+                continue
+            self.targets[src] = dst
+            self.used[dst] = True
+            if self.place(src + 1, new_sign):
+                return True
+            self.used[dst] = False
+        return False
+
+    def minor_sign(self, src, dst, sign):
+        for combo, ma in self.checks[src]:
+            cols = [self.targets[s] for s in combo] + [dst]
+            mb = self.b_minors[tuple(sorted(cols))] * self.parity(cols)
+            if sign == 0 and ma:
+                if abs(mb) != abs(ma):
+                    return None
+                sign = mb // ma
+            elif mb != sign * ma:
+                return None
+        return sign
+
+    def complete(self):
+        a, b = self.pw.weights, self.qw.weights
+        source = [0] * self.n
+        for s, t in enumerate(self.targets):
+            source[t] = s
+        permuted = IntMatrix(tuple(tuple(row[s] for s in source) for row in a.entries))
+        if hnf_canonical(permuted) != b:
+            return False
+        return self.pw.irrelevant.mapped(self.targets) == self.qw.irrelevant
+
+
+def equivalent_by_minor_search(p, q):
+    """The reference search's result and ``place`` calls."""
+    if rejected_before_search(p, q):
+        return False, 0
+    search = MinorSearchReference(well_form(p)[0], well_form(q)[0])
+    return search.place(0, 0), search.calls
+
+
+def equivalent_with_nodes(p, q):
+    """``presentations_equivalent(p, q)`` and its ``place`` calls."""
+    calls = 0
+    place = coxpres._ColumnSearch.place
+
+    def counted(self, src, sign):
+        nonlocal calls
+        calls += 1
+        return place(self, src, sign)
+
+    coxpres._ColumnSearch.place = counted
+    try:
+        return presentations_equivalent(p, q), calls
+    finally:
+        coxpres._ColumnSearch.place = place
+
+
 def random_family(rng):
     """A few random subsets of a small ground set, some of them empty."""
     ground = rng.randint(1, 8)
@@ -597,6 +757,57 @@ def random_partner(rng, p):
     return P([f"w{j}" for j in range(n)], (g @ M(rows)).entries, comps, True)
 
 
+def product_and_twisted_copy():
+    """P^8 x P^1 and a twisted copy: 11 columns, 9 of them equal."""
+    n = 8
+    comps = [list(range(n + 1)), [n + 1, n + 2]]
+    names = [f"x{i}" for i in range(n + 1)] + ["y0", "y1"]
+    p = P(names, [[1] * (n + 1) + [0, 0], [0] * (n + 1) + [1, 1]], comps)
+    perm = [3, 9, 0, 7, 1, 10, 5, 2, 8, 4, 6]
+    cols = [(1, 0)] * (n + 1) + [(0, 1), (2, 1)]
+    inverse = {old: new for new, old in enumerate(perm)}
+    q = P([names[i] for i in perm],
+          [[cols[i][0] for i in perm], [cols[i][1] for i in perm]],
+          [[inverse[i] for i in c] for c in comps])
+    return p, q
+
+
+def ten_distinct_columns():
+    """Columns (1, i): no twins, so only the minors prune the search.  The
+    second presentation is a moved copy of the first, the third is not."""
+    cols = [(1, i) for i in range(10)]
+    comps = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    p = P([f"x{i}" for i in range(10)], [[1] * 10, list(range(10))], comps)
+    perm = [6, 2, 9, 0, 4, 7, 1, 8, 3, 5]
+    inverse = {old: new for new, old in enumerate(perm)}
+    moved = [[inverse[i] for i in c] for c in comps]
+    rows = [[cols[i][0] for i in perm], [cols[i][1] for i in perm]]
+    g = M([[2, 1], [1, 1]])
+    q = P([f"y{i}" for i in range(10)], (g @ M(rows)).entries, moved)
+    other = P([f"y{i}" for i in range(10)], rows, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]])
+    return p, q, other
+
+
+def blow_up_pairs():
+    """The two rank-3 equivalences of the weighted blow-up T of the scroll
+    with fiber P(1,2,3,1,1): T against its reduced third row, and the
+    well-formed T against the model rebuilt from the subdivided fan."""
+    f3 = P("uvxyzts", [[1, 1, 0, -1, -2, -1, -1], [0, 0, 1, 2, 3, 1, 1]],
+           [(0, 1), (2, 3, 4, 5, 6)])
+    comps = ((0, 1), (2, 3, 4, 5, 6), (0, 2, 3, 5, 6), (7, 1), (7, 4))
+    t = P("uvxyztsw", [[1, 1, 0, -1, -2, -1, -1, 0], [0, 0, 1, 2, 3, 1, 1, 0],
+                       [3, 0, 4, 2, 0, 1, 1, -3]], comps, True)
+    reduced = P("uvxyztsw", [[1, 1, 0, -1, -2, -1, -1, 0], [0, 0, 1, 2, 3, 1, 1, 0],
+                             [1, 0, 1, 0, -1, 0, 0, -1]], comps, True)
+    sub = star_subdivision(fan_from_presentation(f3), (2, 1, 2, 1, 0))
+    from_fan = CoxPresentation(
+        variables=tuple(f"r{i}" for i in range(8)),
+        weights=weights_from_rays(sub.ray_matrix()),
+        irrelevant=irrelevant_ideal_from_fan(sub),
+    )
+    return [(t, reduced), (from_fan, well_form(t)[0])]
+
+
 class TestSearchOracles:
     def test_transversals_match_superset_filter(self):
         rng = random.Random(1996)
@@ -633,18 +844,28 @@ class TestSearchOracles:
                 seen[got[1]] += 1
         assert min(seen[k] for k in (True, False, "rejected")) >= 100, seen
 
+    def test_search_tree_matches_minor_search_reference(self):
+        rng = random.Random(2014)  # the pairs of the permutation oracle above
+        nodes = 0
+        for _ in range(800):
+            p = random_presentation(rng)
+            q = random_partner(rng, p)
+            got = outcome(equivalent_with_nodes, p, q)
+            assert got == outcome(equivalent_by_minor_search, p, q), (p, q)
+            nodes += got[1][1] if got[0] == "ok" else 0
+        assert nodes == 3814
+        p, q = product_and_twisted_copy()
+        d, e, other = ten_distinct_columns()
+        pairs = [(p, q), (p, p), (d, e), (d, other)] + blow_up_pairs()
+        results = []
+        for p, q in pairs:
+            got = equivalent_with_nodes(p, q)
+            assert got == equivalent_by_minor_search(p, q)
+            results.append(got[0])
+        assert results == [False, True, True, False, True, True]
+
     def test_product_against_twisted_copy(self):
-        # P^8 x P^1 against a twisted copy: 11 columns, 9 of them equal
-        n = 8
-        comps = [list(range(n + 1)), [n + 1, n + 2]]
-        names = [f"x{i}" for i in range(n + 1)] + ["y0", "y1"]
-        p = P(names, [[1] * (n + 1) + [0, 0], [0] * (n + 1) + [1, 1]], comps)
-        perm = [3, 9, 0, 7, 1, 10, 5, 2, 8, 4, 6]
-        cols = [(1, 0)] * (n + 1) + [(0, 1), (2, 1)]
-        inverse = {old: new for new, old in enumerate(perm)}
-        q = P([names[i] for i in perm],
-              [[cols[i][0] for i in perm], [cols[i][1] for i in perm]],
-              [[inverse[i] for i in c] for c in comps])
+        p, q = product_and_twisted_copy()
         start = time.perf_counter()
         assert presentations_equivalent(p, q) is False
         assert presentations_equivalent(p, p) is True
@@ -684,17 +905,7 @@ class TestSearchOracles:
         )
 
     def test_ten_distinct_columns(self):
-        # columns (1, i): no twins, so only the minors prune the search
-        cols = [(1, i) for i in range(10)]
-        comps = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
-        p = P([f"x{i}" for i in range(10)], [[1] * 10, list(range(10))], comps)
-        perm = [6, 2, 9, 0, 4, 7, 1, 8, 3, 5]
-        inverse = {old: new for new, old in enumerate(perm)}
-        moved = [[inverse[i] for i in c] for c in comps]
-        rows = [[cols[i][0] for i in perm], [cols[i][1] for i in perm]]
-        g = M([[2, 1], [1, 1]])
-        q = P([f"y{i}" for i in range(10)], (g @ M(rows)).entries, moved)
-        other = P([f"y{i}" for i in range(10)], rows, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]])
+        p, q, other = ten_distinct_columns()
         start = time.perf_counter()
         assert presentations_equivalent(p, q) is True
         assert presentations_equivalent(p, other) is False

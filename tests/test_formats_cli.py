@@ -166,6 +166,17 @@ class TestCliBasics:
         assert code == 0 and "minor gcd 2" in out
         assert "standard matrix:" in out
 
+    def test_standardize_large_prime_minor_gcd(self, capsys, tmp_path):
+        p = 100000000000000000039
+        mat = tmp_path / "a.mat"
+        mat.write_text(f"1 2\n{p} {2 * p}\n")
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "standardize", str(mat))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == (f"minor gcd {p}\nstandard matrix:\n1 2\n1 2\n"
+                       f"transform (input = transform @ standard):\n1 1\n{p}\n")
+
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "standardize", example("no-such-file.cox"))
         assert code == 2 and err.startswith("error:")

@@ -1,6 +1,7 @@
 """Integer-lattice layer: matrices, normal forms, standardization."""
 
 import random
+import time
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ import pytest
 from coxforge import _kernels
 from coxforge.errors import InvalidArgumentError, MustStandardizeFirstError, RankError
 from coxforge.intlattice import (
+    _MILLER_RABIN_BASES,
     IntMatrix,
     UnimodularWitness,
     det,
@@ -20,8 +22,10 @@ from coxforge.intlattice import (
     kernel_basis,
     minor_gcd,
     primitive_vector,
+    _proven_prime,
     rank,
     require_standard,
+    smallest_prime_factor,
     smith_diagonal,
     smith_transforms,
     standardize,
@@ -289,3 +293,53 @@ class TestKernelAndPrimitive:
         with pytest.raises(InvalidArgumentError):
             primitive_vector((0, 0))
 
+
+
+def spf_by_trial_division(n):
+    """Least prime factor by trial division up to the square root (oracle)."""
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 1
+    return n
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** k, n) == n - 1 for k in range(1, s))
+
+
+class TestSmallestPrimeFactor:
+    def test_matches_trial_division_below_1e5(self):
+        for n in range(2, 10**5):
+            assert smallest_prime_factor(n) == spf_by_trial_division(n), n
+
+    def test_matches_trial_division_past_the_trial_limit(self):
+        rng = random.Random(61)
+        primes = [p for p in range(1009, 1400) if spf_by_trial_division(p) == p]
+        cases = [p * q for p in primes[:12] for q in primes[:12]]  # no factor below 1009
+        cases += [rng.randrange(10**6, 10**9) for _ in range(300)]
+        for n in cases:
+            assert smallest_prime_factor(n) == spf_by_trial_division(n), n
+
+    def test_strong_pseudoprime_to_the_first_eleven_bases(self):
+        # the least strong pseudoprime to 2..31; only the base 37 exposes it
+        n = 149491 * 747451 * 34233211
+        assert [a for a in _MILLER_RABIN_BASES if not strong_probable_prime(n, a)] == [37]
+        assert smallest_prime_factor(n) == 149491
+
+    def test_bases_decide_nothing_from_their_least_pseudoprime(self):
+        n = 318665857834031151167461  # composite, a strong pseudoprime to 2..37
+        assert n == 399165290221 * 798330580441
+        assert all(strong_probable_prime(n, a) for a in _MILLER_RABIN_BASES)
+        assert not _proven_prime(n)
+
+    def test_large_prime_in_bounded_time(self):
+        start = time.perf_counter()
+        assert smallest_prime_factor(100000000000000000039) == 100000000000000000039
+        assert smallest_prime_factor(3 * 100000000000000000039) == 3
+        assert time.perf_counter() - start < 1.0
