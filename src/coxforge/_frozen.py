@@ -1,0 +1,69 @@
+"""The one decorator behind the immutable value classes.
+
+:func:`frozen` gives a class the methods of a frozen standard-library data
+class: an ``__init__`` taking the fields by position or keyword,
+``__repr__``, ``__eq__`` and ``__hash__`` over the field tuple,
+``__match_args__``, and a ``__setattr__``/``__delattr__`` that refuse every
+change.  It imports nothing (the standard module loads :mod:`inspect`) and
+runs one ``exec`` per class, as :func:`collections.namedtuple` does, where
+the standard module runs one per method; a CLI process pays for both.
+
+The fields are the class's own annotations, in order; a class attribute of
+the same name is the field's default.  ``__init__`` calls
+``self.__post_init__()`` when the class defines it, looking it up at call
+time, so a validator rebound on the class is the one that runs.  A method
+the class body defines itself is kept.  Instances pickle and copy through
+their ``__dict__`` like any object.
+"""
+
+from __future__ import annotations
+
+
+def _refuse_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def frozen(cls: type) -> type:
+    """Make ``cls`` an immutable value class with generated methods."""
+    names = tuple(cls.__annotations__)
+    own = vars(cls)
+    namespace = {"__name__": cls.__module__, "_setattr": object.__setattr__}
+    params = []
+    for name in names:
+        if name in own:
+            namespace[f"_default_{name}"] = own[name]
+            params.append(f"{name}=_default_{name}")
+        else:
+            params.append(name)
+    post_init = ["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+    mine = "".join(f"self.{name}," for name in names)
+    theirs = "".join(f"other.{name}," for name in names)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    exec("\n".join([
+        f"def __init__(self, {', '.join(params)}):",
+        *(f"    _setattr(self, {name!r}, {name})" for name in names),
+        *post_init,
+        "def __repr__(self):",
+        f"    return self.__class__.__qualname__ + f'({shown})'",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({mine}))",
+    ]), namespace)
+    namespace["__init__"].__annotations__ = {**cls.__annotations__, "return": None}
+    methods = {name: namespace[name] for name in ("__init__", "__repr__", "__eq__", "__hash__")}
+    for method in methods.values():
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+    methods.update(
+        __setattr__=_refuse_setattr, __delattr__=_refuse_delattr, __match_args__=names
+    )
+    for name, value in methods.items():
+        if name not in own:
+            setattr(cls, name, value)
+    return cls

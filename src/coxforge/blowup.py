@@ -12,10 +12,10 @@ discrepancy) round out the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._frozen import frozen
 from .coxpres import CoxPresentation, MonomialIdeal
 from .errors import InvalidArgumentError, SolveNotFoundError, UnsupportedFeatureError
 from .galefan import (
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class BlowupSpec:
     """Data of a weighted blow-up at a torus-fixed point of a bundle.
 
@@ -147,7 +147,7 @@ class BlowupSpec:
         return r, s
 
 
-@dataclass(frozen=True)
+@frozen
 class Equation:
     """A complete-intersection equation: degree class plus, optionally,
     its monomial support or an explicitly known exceptional order."""
@@ -169,7 +169,7 @@ class Equation:
             raise InvalidArgumentError("exceptional order must be nonnegative")
 
 
-@dataclass(frozen=True)
+@frozen
 class CIData:
     """Equations cutting a complete intersection inside the ambient."""
 

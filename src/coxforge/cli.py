@@ -10,8 +10,9 @@ byte-stable machine-readable form (sorted keys, 0-based indices); ``--dot
 FILE`` writes a Graphviz diagram for ``game`` and ``cox2fan``.
 
 A process loads only what its verb uses.  Importing this module loads
-``errors``, ``intlattice`` (with ``_kernels``), ``coxpres`` and ``formats``,
-which is all that ``standardize``, ``wellform``, ``wps`` and ``equiv`` need.
+``errors``, ``intlattice`` (with ``_kernels`` and ``_frozen``), ``coxpres``
+and ``formats``, which is all that ``standardize``, ``wellform``, ``wps``
+and ``equiv`` need.
 The other verbs import their layers when they run: ``gale``, ``fan2cox``,
 ``cox2fan`` and ``subdivide`` load ``galefan``; ``chambers``, ``game`` and
 ``gens`` load ``vgit``; ``blowup`` and ``discrepancy`` load ``blowup`` and

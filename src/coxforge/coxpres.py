@@ -12,12 +12,12 @@ permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from math import gcd
 from typing import Iterable, Sequence, Union
 
 from . import _kernels
+from ._frozen import frozen
 from .errors import (
     InvalidArgumentError,
     RankError,
@@ -154,7 +154,7 @@ def _decode(mask: int, universe: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@frozen
 class MonomialIdeal:
     """Intersection of coordinate primes, one component per variable set.
 
@@ -251,7 +251,7 @@ class MonomialIdeal:
 # presentations
 
 
-@dataclass(frozen=True)
+@frozen
 class CoxPresentation:
     """Quotient presentation: variables, torus weights, irrelevant ideal.
 
@@ -346,7 +346,7 @@ def _require_prime(q: int) -> None:
         raise InvalidArgumentError(f"factor must be prime, got {q!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class RowTransform:
     """Left-multiply the working matrix by a unimodular witness."""
 
@@ -357,7 +357,7 @@ class RowTransform:
             raise InvalidArgumentError("RowTransform needs a UnimodularWitness")
 
 
-@dataclass(frozen=True)
+@frozen
 class ColumnScale:
     """Multiply one column by a prime ``factor``.
 
@@ -376,7 +376,7 @@ class ColumnScale:
             raise InvalidArgumentError("column and row indices must be nonnegative")
 
 
-@dataclass(frozen=True)
+@frozen
 class RowDivide:
     """Divide one row by a prime ``factor`` (all entries must be multiples)."""
 
@@ -394,11 +394,11 @@ Step = Union[RowTransform, ColumnScale, RowDivide]
 _STEP_TYPES = (RowTransform, ColumnScale, RowDivide)
 
 
-@dataclass(frozen=True)
+@frozen
 class WellFormingCertificate:
     """Ordered elementary moves replaying an input matrix to an output."""
 
-    steps: tuple[Step, ...] = field(default_factory=tuple)
+    steps: tuple[Step, ...] = ()
 
     def __post_init__(self) -> None:
         steps = tuple(self.steps)

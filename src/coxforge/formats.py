@@ -46,9 +46,9 @@ Blow-up job (used by the ``discrepancy`` command)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ._frozen import frozen
 from .coxpres import CoxPresentation, MonomialIdeal
 from .errors import CoxforgeError, FormatError
 from .intlattice import IntMatrix
@@ -232,7 +232,7 @@ def serialize_fan(f: Fan) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
+@frozen
 class BlowupJob:
     """Parsed blow-up discrepancy job: spec, equations and solve target."""
 

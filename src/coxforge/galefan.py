@@ -9,12 +9,12 @@ by Cox's recipe, and performs star subdivision of simplicial fans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
 from . import _kernels
+from ._frozen import frozen
 from .coxpres import (
     CoxPresentation,
     MonomialIdeal,
@@ -52,7 +52,7 @@ __all__ = [
 # fans
 
 
-@dataclass(frozen=True)
+@frozen
 class Fan:
     """Simplicial fan: primitive rays plus maximal cones as ray-index sets."""
 
@@ -188,7 +188,7 @@ def weights_from_rays(b: IntMatrix) -> IntMatrix:
 # weighted bundles
 
 
-@dataclass(frozen=True)
+@frozen
 class WeightedBundleSpec:
     """Numerical data of a weighted projective-space bundle over ``P^n``.
 

@@ -27,11 +27,11 @@ The central notions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
 
 from coxforge import _kernels
+from coxforge._frozen import frozen
 from coxforge.errors import (
     InvalidArgumentError,
     MustStandardizeFirstError,
@@ -39,7 +39,7 @@ from coxforge.errors import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class IntMatrix:
     """Immutable integer matrix.
 
@@ -116,7 +116,7 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
-@dataclass(frozen=True)
+@frozen
 class UnimodularWitness:
     """A unimodular matrix together with its exact integer inverse."""
 
@@ -161,7 +161,7 @@ def integer_inverse(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(u)
 
 
-@dataclass(frozen=True)
+@frozen
 class _SmithForm:
     """One Smith normal form of a matrix, read for every invariant it gives.
 
@@ -308,7 +308,7 @@ def primitive_vector(v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-# Trial division stops to ask for a primality proof when it reaches this odd
+# Trial division hands over to a factoring step when it reaches this odd
 # divisor.  Below ``_MILLER_RABIN_EXACT`` no odd composite is a strong
 # probable prime to every base in ``_MILLER_RABIN_BASES`` (Jiang & Deng,
 # Math. Comp. 83, 2014; Sorenson & Webster, Math. Comp. 86, 2017).
@@ -320,10 +320,12 @@ _MILLER_RABIN_EXACT = 318_665_857_834_031_151_167_461
 def smallest_prime_factor(n: int) -> int:
     """Least prime factor of ``n >= 2``.
 
-    Trial division, except that once it has passed ``_TRIAL_LIMIT`` a prime
-    ``n`` below ``_MILLER_RABIN_EXACT`` is recognised by the Miller-Rabin
-    test and returned at once, so a large prime minor gcd costs a few
-    modular powers instead of a division per odd number up to its root.
+    Trial division up to ``_TRIAL_LIMIT``.  Past it, an ``n`` below
+    ``_MILLER_RABIN_EXACT`` is factored completely (Miller-Rabin proves
+    each prime, Pollard-Brent rho splits each composite) and the least
+    prime is returned, so a minor gcd with large prime factors costs a few
+    modular powers and about ``p ** 0.5`` products instead of a division
+    per odd number up to ``p``.  Larger ``n`` stay with trial division.
     """
     if n < 2:
         raise InvalidArgumentError("need n >= 2")
@@ -333,10 +335,54 @@ def smallest_prime_factor(n: int) -> int:
     while f * f <= n:
         if n % f == 0:
             return f
-        if f == _TRIAL_LIMIT and _proven_prime(n):
-            return n
+        if f == _TRIAL_LIMIT and n < _MILLER_RABIN_EXACT:
+            return min(_prime_factors(n))
         f += 2
     return n
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors, with multiplicity, of an odd ``n`` below
+    ``_MILLER_RABIN_EXACT`` with no factor below ``_TRIAL_LIMIT``."""
+    if _proven_prime(n):
+        return [n]
+    d = _pollard_brent(n)
+    return _prime_factors(d) + _prime_factors(n // d)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of an odd composite ``n`` with no factor below
+    ``_TRIAL_LIMIT``.
+
+    Brent's cycle search on ``x -> x^2 + c mod n`` from ``x = 2``, taking
+    the gcd with ``n`` of 128 accumulated differences at a time and
+    replaying one step at a time when a batch overshoots; ``c = 1, 2, ...``
+    until a run ends on a proper factor, so the result is deterministic.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def _proven_prime(n: int) -> bool:

@@ -8,9 +8,9 @@ the isolated ones by the Reid-Tai criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._frozen import frozen
 from .errors import InvalidArgumentError, UnsupportedFeatureError
 from .galefan import WeightedBundleSpec
 
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class QuotientSingularity:
     """Type ``1/index (weights)``: C^k divided by a cyclic group.
 
@@ -61,7 +61,7 @@ class QuotientSingularity:
         return QuotientSingularity(q.index, tuple(w for w in q.weights if w != 0))
 
 
-@dataclass(frozen=True)
+@frozen
 class ChartReport:
     """Singularity type of the chart ``U_ij = (x_i y_j != 0)``."""
 

@@ -10,10 +10,10 @@ full picture exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import Optional, Sequence
 
+from ._frozen import frozen
 from .coxpres import CoxPresentation, MonomialIdeal
 from .errors import (
     InvalidArgumentError,
@@ -109,7 +109,7 @@ def _sweep_from(dirs: Sequence[Vec2], lo: Vec2) -> list[Vec2]:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class Chamber:
     """Open cone between two consecutive walls of the sweep."""
 
@@ -128,7 +128,7 @@ class Chamber:
         object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
+@frozen
 class WallCrossing:
     """Birational surgery at an interior wall of the sweep.
 
@@ -162,7 +162,7 @@ class WallCrossing:
             raise InvalidArgumentError("base variables and weights must pair up")
 
 
-@dataclass(frozen=True)
+@frozen
 class EndBehavior:
     """What happens at a boundary ray of the moving cone.
 
@@ -193,14 +193,14 @@ class EndBehavior:
             raise InvalidArgumentError("a fibration has no columns beyond the ray")
 
 
-@dataclass(frozen=True)
+@frozen
 class GameDiagram:
     """Complete 2-ray game: models, wall crossings and the two ends."""
 
     models: tuple[CoxPresentation, ...]
     crossings: tuple[WallCrossing, ...]
     ends: tuple[EndBehavior, EndBehavior]
-    chambers: tuple[Chamber, ...] = field(default=())
+    chambers: tuple[Chamber, ...] = ()
 
     def __post_init__(self) -> None:
         if self.chambers and len(self.models) != len(self.chambers):

@@ -68,8 +68,8 @@ def valid_args(verb, files):
 # per-verb loading, in fresh interpreters
 
 PACKAGE = {"coxforge", "coxforge.errors"}
-CLI = {"coxforge._kernels", "coxforge.intlattice", "coxforge.coxpres",
-       "coxforge.formats", "coxforge.cli"}
+CLI = {"coxforge._frozen", "coxforge._kernels", "coxforge.intlattice",
+       "coxforge.coxpres", "coxforge.formats", "coxforge.cli"}
 VERB_LOADS = {
     "standardize": set(),
     "wellform": set(),
@@ -88,17 +88,20 @@ VERB_LOADS = {
 }
 NO_FRACTIONS = ("wps", "equiv", "game")
 
-# Prints, as JSON, the package modules (and `fractions`) that each step
-# loads: `import coxforge`, `import coxforge.cli`, then `main(argv)` with
+# Prints, as JSON, the package modules, `fractions`, `dataclasses` and
+# `inspect` that each step loads: the interpreter start with the child's own
+# imports, `import coxforge`, `import coxforge.cli`, then `main(argv)` with
 # its output swallowed.
 CHILD = """
 import contextlib, io, json, sys
+WATCHED = ("coxforge", "fractions", "dataclasses", "inspect")
 def watched():
-    return {m for m in sys.modules if m.split(".")[0] in ("coxforge", "fractions")}
-steps, seen = [], watched()
+    return {m for m in sys.modules if m.split(".")[0] in WATCHED}
+steps, seen = [], set()
 def step():
     steps.append(sorted(watched() - seen))
     seen.update(steps[-1])
+step()
 import coxforge
 step()
 import coxforge.cli
@@ -121,8 +124,11 @@ def test_each_verb_loads_only_its_modules(verb, files):
         capture_output=True, text=True, cwd=ROOT, env=ENV, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    code, package, cli_import, run = json.loads(proc.stdout)
+    code, start, package, cli_import, run = json.loads(proc.stdout)
     assert code == 0
+    assert start == []
+    # Value classes are built without `dataclasses`, which loads `inspect`.
+    assert not {"dataclasses", "inspect"} & {*package, *cli_import, *run}
     assert set(package) == PACKAGE
     assert set(cli_import) == CLI
     assert set(run) - {"fractions"} == VERB_LOADS[verb]

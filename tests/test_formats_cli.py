@@ -8,12 +8,11 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from coxforge.blowup import blow_up_weighted_bundle
+from coxforge.blowup import BlowupSpec, blow_up_weighted_bundle
 from coxforge.cli import main
 from coxforge.errors import FormatError
 from coxforge.formats import (
@@ -61,7 +60,10 @@ class TestExampleFiles:
         job = parse_blowup_job(read_example("kawamata.job"))
         assert (job.spec, job.ci, job.target) == (BLOWUP_SPEC, CI, Fraction(1, 3))
         solve = parse_blowup_job(read_example("kawamata-solve.job"))
-        assert solve.spec == replace(BLOWUP_SPEC, b=(None,) + BLOWUP_SPEC.b[1:])
+        assert solve.spec == BlowupSpec(
+            BLOWUP_SPEC.center, BLOWUP_SPEC.k, BLOWUP_SPEC.fiber_weights,
+            (None,) + BLOWUP_SPEC.b[1:], BLOWUP_SPEC.new_var,
+        )
         assert (solve.ci, solve.target) == (CI, Fraction(1, 3))
 
 

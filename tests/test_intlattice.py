@@ -5,10 +5,12 @@ import time
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
 from coxforge import _kernels
+from coxforge.coxpres import CoxPresentation, MonomialIdeal, RowDivide, well_form
 from coxforge.errors import InvalidArgumentError, MustStandardizeFirstError, RankError
 from coxforge.intlattice import (
     _MILLER_RABIN_BASES,
@@ -343,3 +345,30 @@ class TestSmallestPrimeFactor:
         assert smallest_prime_factor(100000000000000000039) == 100000000000000000039
         assert smallest_prime_factor(3 * 100000000000000000039) == 3
         assert time.perf_counter() - start < 1.0
+
+    def test_least_prime_of_the_full_factorisation(self):
+        # Past the trial limit the cofactor is split into primes, and the
+        # least of them is the answer whichever factor a split finds first.
+        rng = random.Random(67)
+        primes = [p for p in range(1009, 30000, 2) if spf_by_trial_division(p) == p]
+        cases = [prod(rng.choices(primes, k=rng.randint(2, 5))) for _ in range(400)]
+        cases += [p ** k for p in primes[:4] + primes[-4:] for k in (2, 3, 4)]
+        for n in cases:
+            assert smallest_prime_factor(n) == spf_by_trial_division(n), n
+
+    def test_products_of_two_large_primes_in_bounded_time(self):
+        start = time.perf_counter()
+        assert smallest_prime_factor(10000019 * 10000079) == 10000019
+        assert smallest_prime_factor(100000037 * 100000007) == 100000007
+        assert time.perf_counter() - start < 1.0
+
+    def test_well_form_of_a_large_composite_minor_gcd_in_bounded_time(self):
+        d = 100000007 * 100000037
+        stacky = CoxPresentation(
+            ("x", "y", "z"), M([[d, d, 2 * d]]), MonomialIdeal(((0, 1, 2),)), stacky=True
+        )
+        start = time.perf_counter()
+        model, certificate = well_form(stacky)
+        assert time.perf_counter() - start < 1.0
+        assert model.weights == M([[1, 1, 2]])
+        assert certificate.steps == (RowDivide(0, 100000007), RowDivide(0, 100000037))

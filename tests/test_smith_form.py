@@ -11,7 +11,6 @@ Smith forms a few paper calls make.
 """
 
 import copy
-import dataclasses
 import pickle
 import random
 from math import gcd
@@ -221,10 +220,10 @@ class TestAgainstSeparateSmithForms:
 class TestSmithFormMemo:
     def test_value_semantics_ignore_the_memo(self):
         m = M([[3, 3, 3, 0, -2], [1, 1, 1, 2, 0]])
-        before = (hash(m), repr(m), dataclasses.fields(m), pickle.dumps(m))
+        before = (hash(m), repr(m), type(m).__match_args__, pickle.dumps(m))
         form = _SmithForm.of(m)
         assert vars(m)["_smith_form"] is form
-        assert (hash(m), repr(m), dataclasses.fields(m), pickle.dumps(m)) == before
+        assert (hash(m), repr(m), type(m).__match_args__, pickle.dumps(m)) == before
         fresh = M(m.entries)
         assert fresh == m and m == fresh and fresh is not m
         for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
@@ -235,14 +234,14 @@ class TestSmithFormMemo:
     def test_gale_gcd_memo_stays_out_of_the_values(self):
         m = M([[3, 3, 3, 0, -2], [1, 1, 1, 2, 0]])
         form = _SmithForm.of(m)
-        before = (hash(m), repr(m), dataclasses.fields(m), pickle.dumps(m))
-        form_before = (hash(form), repr(form), dataclasses.fields(form))
+        before = (hash(m), repr(m), type(m).__match_args__, pickle.dumps(m))
+        form_before = (hash(form), repr(form), type(form).__match_args__)
         gcds = form.gale_row_gcds()
         assert type(gcds) is tuple  # callers share it, so it cannot be mutable
         assert vars(form)["_gale_row_gcds"] is gcds
         assert form.gale_row_gcds() is gcds  # computed once per form
-        assert (hash(m), repr(m), dataclasses.fields(m), pickle.dumps(m)) == before
-        assert (hash(form), repr(form), dataclasses.fields(form)) == form_before
+        assert (hash(m), repr(m), type(m).__match_args__, pickle.dumps(m)) == before
+        assert (hash(form), repr(form), type(form).__match_args__) == form_before
         twin = _SmithForm(form.rows, form.diag, form.v)
         assert twin == form and form == twin and "_gale_row_gcds" not in vars(twin)
         assert twin.gale_row_gcds() == gcds == tuple(gcd(*row[2:]) for row in form.v)

@@ -10,7 +10,6 @@ valid inputs both must store the same fields (compared by ``repr``, so a
 coerced ``int`` and an ``IntEnum`` member stay apart).
 """
 
-import dataclasses
 import enum
 import itertools
 import random
@@ -218,12 +217,12 @@ def outcome(cls, *args):
         value = cls(*args)
     except Exception as exc:  # noqa: BLE001 - the class is the result
         return type(exc), str(exc)
-    return "ok", repr([getattr(value, f.name) for f in dataclasses.fields(cls)])
+    return "ok", repr([getattr(value, name) for name in cls.__match_args__])
 
 
 def oracle_outcome(cls, *args):
-    names = [f.name for f in dataclasses.fields(cls)]
-    defaults = [f.default for f in dataclasses.fields(cls)][len(args):]
+    names = cls.__match_args__
+    defaults = [getattr(cls, name) for name in names[len(args):]]
     ns = SimpleNamespace(**dict(zip(names, [*args, *defaults])))
     try:
         ORACLES[cls](ns)
