@@ -1,12 +1,19 @@
 """Exact integer elimination kernels.
 
-These are the hot loops of the lattice layer: row-style Hermite reduction,
-Smith diagonalisation with transforms, and one fraction-free Bareiss
-elimination without transforms that gives both the rank and the
-determinant (Bareiss, Math. Comp. 22, 1968), so a question that needs only
-the rank never pays for the unimodular transforms of a Smith form.  They
-are plain Python and all arithmetic happens on Python ints, so results are
-exact at any operand size.
+These are the hot loops of the lattice layer, three eliminations in all:
+
+* ``hermite``: row-style Hermite reduction.  It builds no transform; ``hnf``
+  gets its unimodular transform by augmentation, reducing ``[rows | I]``
+  and splitting the columns, so a caller that needs only the canonical
+  form never pays for the transform.
+* ``smith``: Smith diagonalisation with both transforms.
+* ``_bareiss``: one fraction-free elimination without transforms that
+  gives both the rank and the determinant (Bareiss, Math. Comp. 22, 1968),
+  so a question that needs only the rank never pays for the unimodular
+  transforms of a Smith form.
+
+They are plain Python and all arithmetic happens on Python ints, so
+results are exact at any operand size.
 
 Matrices cross this boundary as lists of lists of ints; the callers own
 validation and immutable wrapping.
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 BACKEND = "python"
 
-__all__ = ["BACKEND", "det", "hnf", "rank", "smith"]
+__all__ = ["BACKEND", "det", "hermite", "hnf", "rank", "smith"]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -38,19 +45,17 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row-style Hermite normal form with a unimodular transform.
+def hermite(rows: list[list[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form, without a transform.
 
-    Returns ``(h, u)`` with ``u * rows == h`` and ``det(u) = +-1``.  Pivots
-    are positive, entries above each pivot are reduced into ``[0, pivot)``,
-    pivot columns move strictly right as the row index grows and zero rows
-    sit at the bottom.  The result is the canonical representative of the
-    left-unimodular equivalence class of ``rows``.
+    Pivots are positive, entries above each pivot are reduced into
+    ``[0, pivot)``, pivot columns move strictly right as the row index grows
+    and zero rows sit at the bottom.  The result is the canonical
+    representative of the left-unimodular equivalence class of ``rows``.
     """
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    u = _identity(nr)
     pivot_row = 0
     for col in range(nc):
         if pivot_row == nr:
@@ -61,37 +66,45 @@ def hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
             a, b = m[pivot_row][col], m[i][col]
             if a == 0:
                 m[pivot_row], m[i] = m[i], m[pivot_row]
-                u[pivot_row], u[i] = u[i], u[pivot_row]
                 continue
             if b % a == 0:
                 # Pivot divides the target: plain subtraction keeps the
                 # pivot row untouched (a general Bezout combine may not).
                 q = b // a
                 m[i] = [y - q * x for x, y in zip(m[pivot_row], m[i])]
-                u[i] = [y - q * x for x, y in zip(u[pivot_row], u[i])]
                 continue
             g, s, t = _xgcd(a, b)
             p, q = a // g, b // g
             rp, ri = m[pivot_row], m[i]
             m[pivot_row] = [s * x + t * y for x, y in zip(rp, ri)]
             m[i] = [p * y - q * x for x, y in zip(rp, ri)]
-            rp, ri = u[pivot_row], u[i]
-            u[pivot_row] = [s * x + t * y for x, y in zip(rp, ri)]
-            u[i] = [p * y - q * x for x, y in zip(rp, ri)]
         pivot = m[pivot_row][col]
         if pivot == 0:
             continue
         if pivot < 0:
             m[pivot_row] = [-x for x in m[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
             pivot = -pivot
         for i in range(pivot_row):
             q = m[i][col] // pivot
             if q:
                 m[i] = [x - q * y for x, y in zip(m[i], m[pivot_row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
         pivot_row += 1
-    return m, u
+    return m
+
+
+def hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Row-style Hermite normal form with a unimodular transform.
+
+    Returns ``(h, u)`` with ``h == hermite(rows)``, ``u * rows == h`` and
+    ``det(u) = +-1``.  The transform is read off the Hermite form of
+    ``[rows | I]``: its row operations are exactly those on ``rows`` (so
+    ``u`` is the unique one when the rows are independent), and past the
+    last pivot of ``rows`` they go on to Hermite-reduce the relation rows
+    of ``u``.
+    """
+    nc = len(rows[0]) if rows else 0
+    aug = hermite([list(r) + e for r, e in zip(rows, _identity(len(rows)))])
+    return [r[:nc] for r in aug], [r[nc:] for r in aug]
 
 
 def smith(rows: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:

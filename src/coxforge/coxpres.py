@@ -27,11 +27,10 @@ from .intlattice import (
     IntMatrix,
     UnimodularWitness,
     _SmithForm,
-    _lift_transvections,
     _sl_echelon_ops_mod_p,
+    _transvection_witness,
     delete_column,
     hnf_canonical,
-    hnf_transform,
     smallest_prime_factor,
     standardize_with_steps,
 )
@@ -507,8 +506,7 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
             ops, _ = _sl_echelon_ops_mod_p(delete_column(work, k), q)
             repair: list[Step] = []
             if ops:
-                g = _lift_transvections(ops, r, q)
-                repair.append(RowTransform(UnimodularWitness.of(g)))
+                repair.append(RowTransform(_transvection_witness(ops, r, q)))
             repair += [ColumnScale(k, q, r - 1), RowDivide(r - 1, q)]
             try:
                 for step in repair:
@@ -522,10 +520,11 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
             if gcds[k] * q != d:
                 raise AssertionError("column repair must shave exactly one prime")
 
-    h, witness = hnf_transform(work)
-    if h != work:
-        steps.append(RowTransform(witness))
-        work = h
+    h, u = _kernels.hnf(work.to_lists())
+    canonical = IntMatrix.from_rows(h)
+    if canonical != work:  # only then is a witness, and its inverse, needed
+        steps.append(RowTransform(UnimodularWitness.of(IntMatrix.from_rows(u))))
+        work = canonical
     if not is_well_formed(work):
         raise AssertionError("well-forming postcondition")
     return work, tuple(steps)

@@ -216,7 +216,7 @@ class _SmithForm:
     def kernel_basis(self) -> IntMatrix:
         rk, n = self.rank, len(self.v)
         # Column-style Hermite of the kernel columns: row-style on their transpose.
-        h, _ = _kernels.hnf(list(zip(*self.v))[rk:])
+        h = _kernels.hermite(list(zip(*self.v))[rk:])
         basis_cols = [row for row in h if any(row)]
         if len(basis_cols) != n - rk:
             raise AssertionError("kernel basis must have one column per free direction")
@@ -271,8 +271,7 @@ def delete_column(m: IntMatrix, k: int) -> IntMatrix:
 
 def hnf_canonical(m: IntMatrix) -> IntMatrix:
     """Canonical row-style Hermite normal form of ``m``."""
-    h, _ = _kernels.hnf(m.to_lists())
-    return IntMatrix.from_rows(h)
+    return IntMatrix.from_rows(_kernels.hermite(m.to_lists()))
 
 
 def hnf_transform(m: IntMatrix) -> tuple[IntMatrix, UnimodularWitness]:
@@ -446,13 +445,29 @@ def _sl_echelon_ops_mod_p(m: IntMatrix, p: int) -> tuple[list[tuple[int, int, in
     return ops, pivot_row
 
 
-def _lift_transvections(ops, r: int, p: int) -> IntMatrix:
-    """Integer determinant-one product of the lifted transvections."""
+def _transvection_product(ops, r: int) -> IntMatrix:
+    """The identity after the row operations ``row_i += c * row_j`` of ``ops``, in order."""
     g = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     for i, j, c in ops:
-        cc = c % p
-        g[i] = [x + cc * y for x, y in zip(g[i], g[j])]
+        g[i] = [x + c * y for x, y in zip(g[i], g[j])]
     return IntMatrix.from_rows(g)
+
+
+def _lift_transvections(ops, r: int, p: int) -> IntMatrix:
+    """Integer determinant-one product of the lifted transvections."""
+    return _transvection_product([(i, j, c % p) for i, j, c in ops], r)
+
+
+def _transvection_witness(ops, r: int, p: int) -> UnimodularWitness:
+    """The lifted transvections' product together with its inverse.
+
+    The inverse is the product of the inverse transvections in reverse
+    order, so no elimination runs; the witness still checks that the two
+    multiply to the identity.
+    """
+    lifted = [(i, j, c % p) for i, j, c in ops]
+    inverse = _transvection_product([(i, j, -c) for i, j, c in reversed(lifted)], r)
+    return UnimodularWitness(_transvection_product(lifted, r), inverse)
 
 
 def standardize_with_steps(
@@ -483,14 +498,14 @@ def standardize_with_steps(
         ops, rank_p = _sl_echelon_ops_mod_p(work, p)
         if rank_p >= r:
             raise AssertionError("minor gcd divisible by p forces rank drop mod p")
-        g = _lift_transvections(ops, r, p)
+        g_witness = _transvection_witness(ops, r, p)
+        g = g_witness.matrix
         gw = g @ work
         last = gw.row(r - 1)
         if any(x % p for x in last):
             raise AssertionError("echelon transform must kill the last row mod p")
         new_rows = [list(gw.row(i)) for i in range(r - 1)]
         new_rows.append([x // p for x in last])
-        g_witness = UnimodularWitness.of(g)
         scale = IntMatrix.from_rows(
             [[(p if i == r - 1 else 1) if i == j else 0 for j in range(r)] for i in range(r)]
         )

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from coxforge import _kernels, coxpres
+from coxforge import _kernels, coxpres, intlattice
 from coxforge.coxpres import (
     ColumnScale,
     CoxPresentation,
@@ -53,6 +53,8 @@ from coxforge.intlattice import (
     standardize_with_steps,
     unimodular_row_equivalent,
 )
+
+from test_acceptance import ELLIPTIC_RAW, F, F2_WF, F3
 
 M = lambda rows: IntMatrix(tuple(tuple(r) for r in rows))
 
@@ -186,6 +188,26 @@ class TestWellForm:
         wf, cert = well_form(p)
         assert wf.weights == p.weights
         assert cert.steps == ()
+
+    def test_canonical_input_builds_no_witness(self, monkeypatch):
+        models = [F2_WF, F, F3] + [well_form(p)[0] for p in (F2_STACKY, ELLIPTIC_RAW)]
+        calls = []
+        real = intlattice.integer_inverse
+        monkeypatch.setattr(
+            intlattice, "integer_inverse", lambda m: calls.append(m) or real(m)
+        )
+        for p in models:
+            assert hnf_canonical(p.weights) == p.weights and is_well_formed(p.weights)
+            wf, cert = well_form(p)
+            assert wf.weights == p.weights
+            assert cert.steps == ()
+        assert calls == []
+        # rows out of Hermite order: the final witness is still built
+        swapped = P("xyztu", [[0, 0, 0, 1, 1], [1, 1, 1, 0, -2]], [(0, 1, 2), (3, 4)])
+        wf, cert = well_form(swapped)
+        assert wf.weights == F2_WF.weights
+        assert len(calls) == 1 and cert.steps == (RowTransform(UnimodularWitness(
+            M([[0, 1], [1, 0]]), M([[0, 1], [1, 0]]))),)
 
     def test_certificate_tampering_detected(self):
         wf, cert = well_form(F2_STACKY)

@@ -9,7 +9,7 @@ from math import prod
 
 import pytest
 
-from coxforge import _kernels
+from coxforge import _kernels, intlattice
 from coxforge.coxpres import CoxPresentation, MonomialIdeal, RowDivide, well_form
 from coxforge.errors import InvalidArgumentError, MustStandardizeFirstError, RankError
 from coxforge.intlattice import (
@@ -24,7 +24,10 @@ from coxforge.intlattice import (
     kernel_basis,
     minor_gcd,
     primitive_vector,
+    _lift_transvections,
     _proven_prime,
+    _sl_echelon_ops_mod_p,
+    _transvection_witness,
     rank,
     require_standard,
     smallest_prime_factor,
@@ -170,6 +173,41 @@ class TestDeterminantAndInverse:
             UnimodularWitness(M([[1, 0], [0, 1]]), M([[1, 1], [0, 1]]))
         w = UnimodularWitness.of(M([[1, 5], [0, 1]]))
         assert w.inverse.entries == ((1, -5), (0, 1))
+
+
+class TestTransvectionWitness:
+    def test_inverse_matches_integer_inverse(self):
+        rng = random.Random(1975)
+        seen = {"random_ops": 0, "echelon_ops": 0, "identity": 0}
+        for _ in range(600):
+            r = rng.randint(1, 6)
+            p = rng.choice((2, 3, 5, 7, 11, 101, 10**9 + 7))
+            if r >= 2 and rng.random() < 0.5:
+                seen["random_ops"] += 1
+                ops = [(*rng.sample(range(r), 2), rng.randint(-3 * p, 3 * p))
+                       for _ in range(rng.randint(0, 12))]
+            else:
+                seen["echelon_ops"] += 1
+                n = rng.randint(1, 8)
+                ops, _ = _sl_echelon_ops_mod_p(
+                    M([[rng.randint(-50, 50) for _ in range(n)] for _ in range(r)]), p)
+            witness = _transvection_witness(ops, r, p)
+            assert witness.matrix == _lift_transvections(ops, r, p)
+            assert witness.inverse == integer_inverse(witness.matrix)
+            seen["identity"] += witness.matrix == IntMatrix.identity(r)
+        assert min(seen.values()) >= 20, seen
+
+    def test_standardize_runs_no_inverse_elimination(self, monkeypatch):
+        calls = []
+        real = intlattice.integer_inverse
+        monkeypatch.setattr(
+            intlattice, "integer_inverse", lambda m: calls.append(m) or real(m)
+        )
+        m = M([[6, 10, 4, 2], [3, 7, 9, 1], [2, 4, 6, 8]])
+        transform, n, steps = standardize_with_steps(m)
+        assert transform @ n == m and is_standard(n)
+        assert any(step[0] == "row_transform" for step in steps)
+        assert calls == []
 
 
 class TestNormalForms:

@@ -2,7 +2,15 @@
 
 import random
 
+import pytest
+
 from coxforge import _kernels as kernels
+from coxforge import galefan
+from coxforge.coxpres import well_form
+from coxforge.errors import OutsideSupportError
+from coxforge.galefan import _solve_in_cone, fan_from_presentation, star_subdivision
+
+from test_acceptance import BLOWUP_SPEC, ELLIPTIC_RAW, F, F2_WF, F3, blow_up_weighted_bundle
 
 
 def _random_matrix(rng, nr, nc, span):
@@ -17,7 +25,7 @@ def _matmul(a, b):
 
 def test_backend_is_reported():
     assert kernels.BACKEND == "python"
-    assert kernels.__all__ == ["BACKEND", "det", "hnf", "rank", "smith"]
+    assert kernels.__all__ == ["BACKEND", "det", "hermite", "hnf", "rank", "smith"]
 
 
 def _check_hnf_postconditions(m):
@@ -158,3 +166,160 @@ def test_hnf_is_canonical_between_row_equivalent_inputs():
             ]
         h2, _ = kernels.hnf(shuffled)
         assert h1 == h2
+
+
+# ---------------------------------------------------------------------------
+# Hermite without a transform, and the transform by augmentation
+
+
+def hnf_oracle(rows):
+    """The Hermite loop that carried its transform row by row (test oracle)."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    u = kernels._identity(nr)
+    pivot_row = 0
+    for col in range(nc):
+        if pivot_row == nr:
+            break
+        for i in range(pivot_row + 1, nr):
+            if m[i][col] == 0:
+                continue
+            a, b = m[pivot_row][col], m[i][col]
+            if a == 0:
+                m[pivot_row], m[i] = m[i], m[pivot_row]
+                u[pivot_row], u[i] = u[i], u[pivot_row]
+                continue
+            if b % a == 0:
+                # Pivot divides the target: plain subtraction keeps the
+                # pivot row untouched (a general Bezout combine may not).
+                q = b // a
+                m[i] = [y - q * x for x, y in zip(m[pivot_row], m[i])]
+                u[i] = [y - q * x for x, y in zip(u[pivot_row], u[i])]
+                continue
+            g, s, t = kernels._xgcd(a, b)
+            p, q = a // g, b // g
+            rp, ri = m[pivot_row], m[i]
+            m[pivot_row] = [s * x + t * y for x, y in zip(rp, ri)]
+            m[i] = [p * y - q * x for x, y in zip(rp, ri)]
+            rp, ri = u[pivot_row], u[i]
+            u[pivot_row] = [s * x + t * y for x, y in zip(rp, ri)]
+            u[i] = [p * y - q * x for x, y in zip(rp, ri)]
+        pivot = m[pivot_row][col]
+        if pivot == 0:
+            continue
+        if pivot < 0:
+            m[pivot_row] = [-x for x in m[pivot_row]]
+            u[pivot_row] = [-x for x in u[pivot_row]]
+            pivot = -pivot
+        for i in range(pivot_row):
+            q = m[i][col] // pivot
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[pivot_row])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
+        pivot_row += 1
+    return m, u
+
+
+def _hermite_case(rng):
+    """1-8 rows, 0-10 columns, entries up to 10^6, with dependent rows mixed in."""
+    nr, nc = rng.randint(1, 8), rng.randint(0, 10)
+    span = rng.choice((1, 9, 10**3, 10**6))
+    m = _random_matrix(rng, nr, nc, span)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i, j, k = rng.randrange(nr), rng.randrange(nr), rng.randrange(nr)
+        kind = rng.choice(("duplicate", "zero", "combination"))
+        if kind == "duplicate":
+            m[i] = m[j][:]
+        elif kind == "zero":
+            m[i] = [0] * nc
+        else:
+            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+            m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    return m
+
+
+def test_hermite_and_hnf_match_the_transform_carrying_oracle():
+    rng = random.Random(1979)
+    seen = {"full": 0, "deficient": 0, "u_differs": 0, "no_columns": 0}
+    for _ in range(2000):
+        m = _hermite_case(rng)
+        h0, u0 = hnf_oracle(m)
+        h, u = kernels.hnf(m)
+        assert kernels.hermite(m) == h == h0, m
+        if kernels.rank(m) == len(m):
+            seen["full"] += 1
+            assert u == u0, m
+        else:
+            seen["deficient"] += 1
+            seen["u_differs"] += u != u0
+            assert abs(kernels.det(u)) == 1, m
+            assert _matmul(u, m) == h, m
+        seen["no_columns"] += not m[0]
+    assert min(seen.values()) >= 20, seen
+
+
+def test_hermite_leaves_its_input_alone():
+    m = [[0, 4, 6], [0, 2, 3], [5, 1, 1]]
+    before = [row[:] for row in m]
+    assert kernels.hermite(m) == [[5, 1, 1], [0, 2, 3], [0, 0, 0]]
+    assert kernels.hnf(m)[0] == kernels.hermite(m)
+    assert m == before
+    assert kernels.hermite([]) == [] and kernels.hnf([]) == ([], [])
+    assert kernels.hnf([[], []]) == ([[], []], [[1, 0], [0, 1]])
+
+
+def _paper_fans():
+    blown_up = blow_up_weighted_bundle(F3, BLOWUP_SPEC)
+    models = (F2_WF, F, F3, well_form(ELLIPTIC_RAW)[0], well_form(blown_up)[0])
+    return [fan_from_presentation(p) for p in models]
+
+
+def test_solve_in_cone_and_star_subdivision_agree_with_the_oracle_transform(monkeypatch):
+    """The relation row of ``u`` is Hermite-reduced now; its ratios are not.
+
+    Every vector ``w`` inside one of the paper's fans (nonnegative
+    combinations of a cone's rays) and a few outside it give the same cone
+    coefficients and the same star subdivision as with the oracle's ``u``.
+    """
+    rng = random.Random(2013)
+    cases = []
+    for fan in _paper_fans():
+        vectors = set()
+        for cone in fan.max_cones:
+            for _ in range(5):
+                coeffs = [rng.randint(0, 2) for _ in cone]
+                vectors.add(tuple(
+                    sum(c * fan.rays[i][t] for c, i in zip(coeffs, cone))
+                    for t in range(fan.lattice_dim)
+                ))
+        vectors.update(
+            tuple(rng.randint(-2, 2) for _ in range(fan.lattice_dim)) for _ in range(20)
+        )
+        cases += [(fan, w) for w in sorted(vectors) if any(w)]
+
+    def solve_all():
+        out = []
+        for fan, w in cases:
+            coeffs = [_solve_in_cone(fan.rays, cone, w) for cone in fan.max_cones]
+            try:
+                sub = star_subdivision(fan, w)
+            except OutsideSupportError:
+                sub = None
+            out.append((coeffs, sub))
+        return out
+
+    got = solve_all()
+    monkeypatch.setattr(galefan._kernels, "hnf", hnf_oracle)
+    assert solve_all() == got
+    inside = 0
+    for (fan, w), (coeffs, sub) in zip(cases, got):
+        for cone, c in zip(fan.max_cones, coeffs):
+            if c is not None:
+                inside += 1
+                assert all(x >= 0 for x in c)
+                assert all(
+                    sum(x * fan.rays[i][t] for x, i in zip(c, cone)) == w[t]
+                    for t in range(fan.lattice_dim)
+                )
+    assert len(cases) >= 200 and inside >= 200, (len(cases), inside)
