@@ -26,13 +26,11 @@ from .errors import (
 from .intlattice import (
     IntMatrix,
     UnimodularWitness,
+    _peel_primes,
     _SmithForm,
-    _sl_echelon_ops_mod_p,
-    _transvection_witness,
-    delete_column,
     hnf_canonical,
+    minor_gcd,
     smallest_prime_factor,
-    standardize_with_steps,
 )
 
 __all__ = [
@@ -345,6 +343,11 @@ def _require_prime(q: int) -> None:
         raise InvalidArgumentError(f"factor must be prime, got {q!r}")
 
 
+def _require_index(i: object, what: str) -> None:
+    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+        raise InvalidArgumentError(f"{what} index must be a nonnegative integer, got {i!r}")
+
+
 @frozen
 class RowTransform:
     """Left-multiply the working matrix by a unimodular witness."""
@@ -371,8 +374,8 @@ class ColumnScale:
 
     def __post_init__(self) -> None:
         _require_prime(self.factor)
-        if self.column < 0 or self.row < 0:
-            raise InvalidArgumentError("column and row indices must be nonnegative")
+        _require_index(self.column, "column")
+        _require_index(self.row, "row")
 
 
 @frozen
@@ -384,8 +387,7 @@ class RowDivide:
 
     def __post_init__(self) -> None:
         _require_prime(self.factor)
-        if self.row < 0:
-            raise InvalidArgumentError("row index must be nonnegative")
+        _require_index(self.row, "row")
 
 
 Step = Union[RowTransform, ColumnScale, RowDivide]
@@ -475,7 +477,10 @@ def is_well_formed(a: IntMatrix) -> bool:
 def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
     """Drive ``m`` to its canonical standard well-formed model.
 
-    Returns the model and the elementary steps.  Deterministic: columns are
+    Returns the model and the elementary steps.  Both phases run
+    :func:`~coxforge.intlattice._peel_primes`: first on the minor gcd of
+    ``m`` (standardisation), then on the Gale-row gcd of each column in
+    turn, scaling that column (repair).  Deterministic: columns are
     repaired in increasing index order, primes in increasing order, and the
     result is Hermite-canonical.  Already-canonical well-formed input gives
     an empty step list.  ``m`` must have full row rank.
@@ -483,42 +488,32 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
     r = m.rows
     steps: list[Step] = []
 
-    _, work, raw = standardize_with_steps(m)
-    for record in raw:
-        if record[0] == "row_transform":
-            steps.append(RowTransform(record[1]))
-        else:
-            steps.append(RowDivide(record[1], record[2]))
+    def peel(work: IntMatrix, d: int, column: int | None = None) -> IntMatrix:
+        work, peeled = _peel_primes(work, d, column)
+        for q, witness in peeled:
+            if witness:
+                steps.append(RowTransform(witness))
+            if column is not None:
+                steps.append(ColumnScale(column, q, r - 1))
+            steps.append(RowDivide(r - 1, q))
+        return work
 
-    gcds = _SmithForm.of(work).gale_row_gcds()  # repairs keep ``work`` standard
+    work = peel(m, minor_gcd(m, r))
+    form = _SmithForm.of(work)
+    if not form.is_standard:
+        raise AssertionError("standardisation must end on a standard matrix")
+    gcds = form.gale_row_gcds()  # repairs keep ``work`` standard
     for k in range(work.cols):
-        while gcds[k] != 1:
-            d = gcds[k]
-            if d == 0:
-                raise UnsupportedFeatureError(
-                    f"deleting column {k} drops the rank; the presentation has "
-                    "no well-formed model of the same rank"
-                )
-            q = smallest_prime_factor(d)
-            # Echelon the deleted matrix mod q by transvections; since q
-            # divides every maximal minor the rank drops mod q, so the last
-            # row of g @ work is divisible by q away from column k.
-            ops, _ = _sl_echelon_ops_mod_p(delete_column(work, k), q)
-            repair: list[Step] = []
-            if ops:
-                repair.append(RowTransform(_transvection_witness(ops, r, q)))
-            repair += [ColumnScale(k, q, r - 1), RowDivide(r - 1, q)]
-            try:
-                for step in repair:
-                    work = _apply_step(work, step)
-            except InvalidArgumentError as exc:
-                raise AssertionError(
-                    "echelon reduction failed to clear the bottom row"
-                ) from exc
-            steps.extend(repair)
+        if gcds[k] == 0:
+            raise UnsupportedFeatureError(
+                f"deleting column {k} drops the rank; the presentation has "
+                "no well-formed model of the same rank"
+            )
+        if gcds[k] > 1:
+            work = peel(work, gcds[k], k)
             gcds = _SmithForm.of(work).gale_row_gcds()
-            if gcds[k] * q != d:
-                raise AssertionError("column repair must shave exactly one prime")
+            if gcds[k] != 1:
+                raise AssertionError(f"column {k} repair must leave a primitive Gale row")
 
     h, u = _kernels.hnf(work.to_lists())
     canonical = IntMatrix.from_rows(h)
@@ -527,6 +522,8 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
         work = canonical
     if not is_well_formed(work):
         raise AssertionError("well-forming postcondition")
+    if _replay(m, steps) != work:
+        raise AssertionError("well-forming certificate must replay to the model")
     return work, tuple(steps)
 
 

@@ -19,7 +19,10 @@ The central notions:
   surjective, equivalently all Smith elementary divisors are 1);
 * :func:`standardize` factors any full-rank matrix as ``M = transform * N``
   with ``N`` standard, peeling prime factors off the minor gcd one at a
-  time via determinant-one reductions mod p;
+  time via determinant-one reductions mod p.  One private routine,
+  ``_peel_primes``, does that peeling, both here and in the column repair
+  of :func:`coxforge.coxpres.well_form`, and it is the only caller of
+  :func:`smallest_prime_factor` on a minor gcd;
 * the row-style Hermite normal form is the canonical representative used
   whenever two matrices have to be compared up to unimodular row
   equivalence.
@@ -470,6 +473,45 @@ def _transvection_witness(ops, r: int, p: int) -> UnimodularWitness:
     return UnimodularWitness(_transvection_product(lifted, r), inverse)
 
 
+def _peel_primes(
+    work: IntMatrix, d: int, column: int | None = None
+) -> tuple[IntMatrix, list[tuple[int, UnimodularWitness | None]]]:
+    """Divide the prime factors of ``d`` out of ``work``, least first.
+
+    ``d`` must divide every maximal minor of ``work`` less ``column`` (of
+    ``work`` itself when ``column`` is None).  For each prime ``p`` of
+    ``d``, with multiplicity, the transvections that echelon ``work`` less
+    ``column`` mod ``p`` lift to a determinant-one ``g``; the rank drops
+    mod ``p``, so the last row of ``g @ work`` is divisible by ``p`` away
+    from ``column``.  That row is divided by ``p`` there, and ``column`` of
+    the other rows is multiplied by ``p``.  Returns the result and one
+    ``(p, witness)`` per prime, where ``witness`` is ``g`` with its inverse,
+    or None when no transvection was needed and ``g`` is the identity.
+    This is the one place that factors a minor gcd: standardisation and
+    the column repair of well-forming both run it.
+    """
+    r = work.rows
+    peeled: list[tuple[int, UnimodularWitness | None]] = []
+    while d > 1:
+        p = smallest_prime_factor(d)
+        rest = work if column is None else delete_column(work, column)
+        ops, _ = _sl_echelon_ops_mod_p(rest, p)
+        witness = _transvection_witness(ops, r, p) if ops else None
+        rows = (witness.matrix @ work if witness else work).entries
+        if any(x % p for j, x in enumerate(rows[-1]) if j != column):
+            raise AssertionError(f"echelon reduction mod {p} must clear the last row")
+        work = IntMatrix(
+            tuple(
+                tuple(x * p if j == column else x for j, x in enumerate(row))
+                for row in rows[:-1]
+            )
+            + (tuple(x if j == column else x // p for j, x in enumerate(rows[-1])),)
+        )
+        peeled.append((p, witness))
+        d //= p
+    return work, peeled
+
+
 def standardize_with_steps(
     m: IntMatrix,
 ) -> tuple[IntMatrix, IntMatrix, list[tuple]]:
@@ -478,9 +520,11 @@ def standardize_with_steps(
     Returns ``(transform, n, steps)`` with ``m == transform @ n``, ``n``
     standard, and ``steps`` a list of ``("row_transform", witness)`` /
     ``("row_divide", row, prime)`` records that replay the reduction on the
-    input.  Determinism: prime factors of the minor gcd are removed in
-    increasing order, and the mod-p reduction uses the lowest available
-    pivot column/row at every choice point.
+    input.  The reduction is :func:`_peel_primes` on the minor gcd, the
+    routine that also repairs the columns of ``well_form``.  Determinism:
+    prime factors of the minor gcd are removed in increasing order, and the
+    mod-p reduction uses the lowest available pivot column/row at every
+    choice point.
 
     Raises:
         RankError: if ``m`` does not have full row rank.
@@ -489,35 +533,17 @@ def standardize_with_steps(
     form = _SmithForm.of(m)
     if form.rank < r:
         raise RankError("standardize needs full row rank")
+    work, peeled = _peel_primes(m, prod(form.diag[:r]))
+    if not _SmithForm.of(work).is_standard:
+        raise AssertionError("standardize must end on a standard matrix")
     transform = IntMatrix.identity(r)
-    work = m
     steps: list[tuple] = []
-    d = prod(form.diag[:r])
-    while d > 1:
-        p = smallest_prime_factor(d)
-        ops, rank_p = _sl_echelon_ops_mod_p(work, p)
-        if rank_p >= r:
-            raise AssertionError("minor gcd divisible by p forces rank drop mod p")
-        g_witness = _transvection_witness(ops, r, p)
-        g = g_witness.matrix
-        gw = g @ work
-        last = gw.row(r - 1)
-        if any(x % p for x in last):
-            raise AssertionError("echelon transform must kill the last row mod p")
-        new_rows = [list(gw.row(i)) for i in range(r - 1)]
-        new_rows.append([x // p for x in last])
-        scale = IntMatrix.from_rows(
-            [[(p if i == r - 1 else 1) if i == j else 0 for j in range(r)] for i in range(r)]
-        )
-        transform = transform @ g_witness.inverse @ scale
-        if g != IntMatrix.identity(r):
-            steps.append(("row_transform", g_witness))
+    for p, witness in peeled:
+        if witness:
+            transform = transform @ witness.inverse
+            steps.append(("row_transform", witness))
+        transform = IntMatrix(tuple(row[:-1] + (row[-1] * p,) for row in transform.entries))
         steps.append(("row_divide", r - 1, p))
-        work = IntMatrix.from_rows(new_rows)
-        nd = minor_gcd(work, r)
-        if nd != d // p:
-            raise AssertionError("minor gcd must drop by exactly p per reduction")
-        d = nd
     if transform @ work != m:
         raise AssertionError("standardize must factor its input")
     return transform, work, steps

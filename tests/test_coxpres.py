@@ -50,11 +50,11 @@ from coxforge.intlattice import (
     rank,
     require_standard,
     smallest_prime_factor,
-    standardize_with_steps,
     unimodular_row_equivalent,
 )
 
 from test_acceptance import ELLIPTIC_RAW, F, F2_WF, F3
+from test_smith_form import standardize_with_steps_by_smith
 
 M = lambda rows: IntMatrix(tuple(tuple(r) for r in rows))
 
@@ -232,6 +232,18 @@ class TestWellForm:
         src = M([[1, 2], [0, 1]])
         assert not verify_certificate(src, bad, M([[0, 1], [0, 1]]))
 
+    @pytest.mark.parametrize("cls, args", [
+        (RowDivide, ("a", 2)), (RowDivide, (True, 2)), (RowDivide, (1.0, 2)),
+        (RowDivide, (-1, 2)), (RowDivide, (None, 3)), (RowDivide, (0, 4)),
+        (ColumnScale, (0, 2, None)), (ColumnScale, (1.5, 2, 0)),
+        (ColumnScale, (False, 2, 0)), (ColumnScale, (0, 2, True)),
+        (ColumnScale, (-1, 2, 0)), (ColumnScale, (0, 2, -1)),
+        (ColumnScale, ("0", 3, 0)), (ColumnScale, (0, 1, 0)),
+    ], ids=lambda x: getattr(x, "__name__", None))
+    def test_bad_step_indices_raise_invalid_argument(self, cls, args):
+        with pytest.raises(InvalidArgumentError):
+            cls(*args)
+
     def test_certificate_step_validation(self):
         with pytest.raises(InvalidArgumentError):
             ColumnScale(0, 4, 0)  # factor must be prime
@@ -282,10 +294,14 @@ def is_well_formed_by_deletion(a):
 
 
 def well_form_matrix_by_deletion(m):
-    """Column repair driven by the minor gcd of each deleted submatrix."""
+    """Column repair driven by the minor gcd of each deleted submatrix.
+
+    Its standardisation is the one-Smith-form-per-prime loop of
+    ``test_smith_form``, so neither phase runs the library's prime peeling.
+    """
     r = m.rows
     steps = []
-    _, work, raw = standardize_with_steps(m)
+    _, work, raw = standardize_with_steps_by_smith(m)
     for record in raw:
         if record[0] == "row_transform":
             steps.append(RowTransform(record[1]))
@@ -384,6 +400,98 @@ class TestWellFormednessByGaleRows:
         )
         assert is_well_formed(M([[1, 1, 1, 0, -2], [0, 0, 0, 1, 1]]))
         assert len(calls) == 1  # standardness and Gale rows from one form
+
+
+def planted_weights(rng, row_factor, column_factor):
+    """Random full-rank matrix with one row scaled by ``row_factor`` and one
+    column of the other rows by ``column_factor``."""
+    r = rng.randint(1, 4)
+    n = rng.randint(r + 1, r + 4)
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        if rank(M(rows)) == r and all(map(any, zip(*rows))):
+            break
+    i, j = rng.randrange(r), rng.randrange(n)
+    rows[i] = [row_factor * e for e in rows[i]]
+    for t, row in enumerate(rows):
+        if t != i:
+            row[j] *= column_factor
+    return M(rows)
+
+
+def stacky(m):
+    return P([f"v{j}" for j in range(m.cols)], m.entries, [tuple(range(m.cols))], stacky=True)
+
+
+def smith_calls(monkeypatch, f, *args):
+    """``f(*args)`` and the number of Smith forms it computed."""
+    calls = []
+    real = _kernels.smith
+    monkeypatch.setattr(_kernels, "smith", lambda rows: calls.append(1) or real(rows))
+    try:
+        return f(*args), len(calls)
+    finally:
+        monkeypatch.setattr(_kernels, "smith", real)
+
+
+class TestMultiPrimePeeling:
+    def test_composite_gcds_match_the_oracle(self):
+        rng = random.Random(1975)
+        seen = {"ok": 0, "rank drop": 0, "multi-prime standardisation": 0,
+                "multi-prime repair": 0}
+        for _ in range(400):
+            m = planted_weights(rng, rng.choice((4, 6, 12, 30)), rng.choice((6, 10, 12)))
+            got = outcome(_well_form_matrix, m)
+            assert got == outcome(well_form_matrix_by_deletion, m), m
+            if got[0] is UnsupportedFeatureError:
+                seen["rank drop"] += 1
+                continue
+            assert got[0] == "ok", got
+            seen["ok"] += 1
+            model, cert = well_form(stacky(m))
+            assert (model.weights, cert.steps) == got[1]
+            assert verify_certificate(m, cert, model.weights)
+            scaled = [s.column for s in cert.steps if isinstance(s, ColumnScale)]
+            divides = sum(isinstance(s, RowDivide) for s in cert.steps)
+            seen["multi-prime standardisation"] += divides - len(scaled) >= 2
+            seen["multi-prime repair"] += any(scaled.count(k) >= 2 for k in set(scaled))
+        assert min(seen.values()) >= 10, seen
+
+    def test_smith_calls_do_not_grow_with_the_primes(self, monkeypatch):
+        # Row i times g, and times f more away from column j: the minor gcd
+        # is g and column j's Gale gcd is f.  A gcd p and a gcd p^3 q must
+        # cost the same Smith forms: one per phase, not one per prime.
+        rng = random.Random(2000)
+        pairs = tries = 0
+        while pairs < 60:
+            tries += 1
+            assert tries < 2000, pairs
+            r = rng.randint(1, 3)
+            n = rng.randint(r + 2, r + 4)
+            base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+            if not all(map(any, zip(*base))) or outcome(is_well_formed, M(base)) != ("ok", True):
+                continue
+            i, j = rng.randrange(r), rng.randrange(n)
+            p, q = rng.sample((2, 3, 5, 7), 2)
+            runs = []
+            for d in (p, p**3 * q):
+                rows = [list(row) for row in base]
+                rows[i] = [d * e if t == j else d * d * e for t, e in enumerate(rows[i])]
+                (_, cert), calls = smith_calls(monkeypatch, well_form, stacky(M(rows)))
+                # "/" for a row division, the column for a column scaling
+                kinds = [getattr(s, "column", "/") for s in cert.steps
+                         if not isinstance(s, RowTransform)]
+                runs.append((kinds, cert.steps[-1], calls))
+            (kinds1, last1, calls1), (kinds3, last3, calls3) = runs
+            # Keep the pairs whose gcds are exactly the planted ones: g at
+            # standardisation, f at column j and no other column, and whose
+            # final Hermite step is taken by both or neither.
+            if kinds1 != ["/"] + [j, "/"] or kinds3 != ["/"] * 4 + [j, "/"] * 4:
+                continue
+            if isinstance(last1, RowTransform) != isinstance(last3, RowTransform):
+                continue
+            assert calls1 == calls3 <= 3, (calls1, calls3, rows)
+            pairs += 1
 
 
 class TestWpsWellForm:

@@ -197,6 +197,24 @@ class TestTransvectionWitness:
             seen["identity"] += witness.matrix == IntMatrix.identity(r)
         assert min(seen.values()) >= 20, seen
 
+    def test_echelon_ops_are_empty_exactly_when_they_lift_to_the_identity(self):
+        # Prime peeling records a row transform when there are ops; the
+        # earlier rule recorded one when the lifted product was not I.
+        rng = random.Random(1990)
+        seen = {"empty": 0, "non-empty": 0}
+        for _ in range(600):
+            r, n = rng.randint(1, 5), rng.randint(1, 7)
+            p = rng.choice((2, 3, 5, 7, 11, 101))
+            rows = [[rng.randint(-2 * p, 2 * p) for _ in range(n)] for _ in range(r)]
+            if rng.random() < 0.5:  # a staircase mod p, so often no op at all
+                for i, row in enumerate(rows):
+                    for t in range(min(i, n)):
+                        row[t] *= p
+            ops, _ = _sl_echelon_ops_mod_p(M(rows), p)
+            assert (not ops) == (_lift_transvections(ops, r, p) == IntMatrix.identity(r))
+            seen["non-empty" if ops else "empty"] += 1
+        assert min(seen.values()) >= 100, seen
+
     def test_standardize_runs_no_inverse_elimination(self, monkeypatch):
         calls = []
         real = intlattice.integer_inverse
