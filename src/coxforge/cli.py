@@ -122,8 +122,8 @@ def _step_text(step) -> str:
 
 def _cmd_standardize(args) -> tuple[str, dict]:
     m = parse_matrix(_read(args.file))
-    gcd_before = minor_gcd(m, m.rows)
-    transform, standard = standardize(m)
+    transform, standard = standardize(m)  # a tall matrix fails here, on its rank
+    gcd_before = minor_gcd(m, m.rows)  # read from the Smith form ``m`` keeps
     human = [
         f"minor gcd {gcd_before}",
         "standard matrix:",

@@ -28,8 +28,8 @@ from .intlattice import (
     UnimodularWitness,
     _peel_primes,
     _SmithForm,
+    _standardisation,
     hnf_canonical,
-    minor_gcd,
     smallest_prime_factor,
 )
 
@@ -479,30 +479,28 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
 
     Returns the model and the elementary steps.  Both phases run
     :func:`~coxforge.intlattice._peel_primes`: first on the minor gcd of
-    ``m`` (standardisation), then on the Gale-row gcd of each column in
-    turn, scaling that column (repair).  Deterministic: columns are
-    repaired in increasing index order, primes in increasing order, and the
-    result is Hermite-canonical.  Already-canonical well-formed input gives
-    an empty step list.  ``m`` must have full row rank.
+    ``m`` (standardisation, which ``m`` keeps once computed and shares
+    with :func:`~coxforge.intlattice.standardize`), then on the Gale-row
+    gcd of each column in turn, scaling that column (repair).
+    Deterministic: columns are repaired in increasing index order, primes
+    in increasing order, and the result is Hermite-canonical.
+    Already-canonical well-formed input gives an empty step list.  ``m``
+    must have full row rank.
     """
     r = m.rows
     steps: list[Step] = []
 
-    def peel(work: IntMatrix, d: int, column: int | None = None) -> IntMatrix:
-        work, peeled = _peel_primes(work, d, column)
+    def record(peeled, column: int | None = None) -> None:
         for q, witness in peeled:
             if witness:
                 steps.append(RowTransform(witness))
             if column is not None:
                 steps.append(ColumnScale(column, q, r - 1))
             steps.append(RowDivide(r - 1, q))
-        return work
 
-    work = peel(m, minor_gcd(m, r))
-    form = _SmithForm.of(work)
-    if not form.is_standard:
-        raise AssertionError("standardisation must end on a standard matrix")
-    gcds = form.gale_row_gcds()  # repairs keep ``work`` standard
+    work, peeled = _standardisation(m)
+    record(peeled)
+    gcds = _SmithForm.of(work).gale_row_gcds()  # repairs keep ``work`` standard
     for k in range(work.cols):
         if gcds[k] == 0:
             raise UnsupportedFeatureError(
@@ -510,7 +508,8 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
                 "no well-formed model of the same rank"
             )
         if gcds[k] > 1:
-            work = peel(work, gcds[k], k)
+            work, peeled = _peel_primes(work, gcds[k], k)
+            record(peeled, k)
             gcds = _SmithForm.of(work).gale_row_gcds()
             if gcds[k] != 1:
                 raise AssertionError(f"column {k} repair must leave a primitive Gale row")

@@ -6,11 +6,21 @@ floating point or fixed-width arithmetic.  The elimination cores (Hermite,
 Smith, and the Bareiss elimination behind rank and determinant) are
 delegated to :mod:`coxforge._kernels`.
 
-A matrix is diagonalised at most once: the first question that needs its
-Smith form (standardness, minor gcds, Gale-row gcds, kernel) computes it
-and keeps it on the matrix object, and every later question of that
-object reads it from there.  A rank alone needs no Smith form; it comes
-from a transform-free Bareiss elimination.
+An ``IntMatrix`` is frozen, so what is computed from it never goes stale,
+and two invariants are kept on the matrix object once computed, each in a
+private attribute that is not a field (hashes, reprs, equality, pickles
+and copies never see it):
+
+* ``_smith_form``: its Smith form.  The first question that needs it
+  (standardness, minor gcds, Gale-row gcds, kernel) computes it, and every
+  later question of that object reads it; the form in turn keeps its
+  Gale-row gcds.
+* ``_standardisation``: its standard factor and the primes peeled to reach
+  it, shared by :func:`standardize` and the first phase of
+  :func:`coxforge.coxpres.well_form`.
+
+A rank alone needs no Smith form; it comes from a transform-free Bareiss
+elimination.
 
 The central notions:
 
@@ -93,7 +103,8 @@ class IntMatrix:
         return tuple(zip(*self.entries))
 
     def __getstate__(self) -> dict:
-        # Pickles and copies carry the value alone, never the Smith-form memo.
+        # Pickles and copies carry the value alone, never the kept Smith
+        # form or standardisation.
         return {"entries": self.entries}
 
     def to_lists(self) -> list[list[int]]:
@@ -175,8 +186,10 @@ class _SmithForm:
     matrix is frozen, so the form never goes stale.  In the same way
     :meth:`gale_row_gcds` keeps its tuple on the form, in
     ``_gale_row_gcds``, so each presentation built on the matrix reads its
-    well-formedness without walking ``v`` again.  Neither memo is a field:
-    hashes, reprs, equality and pickles of the matrix never see them.
+    well-formedness without walking ``v`` again.  The one other memo on a
+    matrix is its ``_standardisation`` (:func:`_standardisation`).  No memo
+    is a field: hashes, reprs, equality and pickles of the matrix never see
+    them.
     """
 
     rows: int
@@ -456,11 +469,6 @@ def _transvection_product(ops, r: int) -> IntMatrix:
     return IntMatrix.from_rows(g)
 
 
-def _lift_transvections(ops, r: int, p: int) -> IntMatrix:
-    """Integer determinant-one product of the lifted transvections."""
-    return _transvection_product([(i, j, c % p) for i, j, c in ops], r)
-
-
 def _transvection_witness(ops, r: int, p: int) -> UnimodularWitness:
     """The lifted transvections' product together with its inverse.
 
@@ -512,6 +520,38 @@ def _peel_primes(
     return work, peeled
 
 
+def _standardisation(
+    m: IntMatrix,
+) -> tuple[IntMatrix, tuple[tuple[int, UnimodularWitness | None], ...]]:
+    """The standardisation ``(n, peeled)`` of ``m``, computed once per matrix.
+
+    ``n`` is :func:`_peel_primes` run on ``m`` and its minor gcd, checked to
+    be standard, and ``peeled`` its ``(p, witness)`` records.  The pair is
+    kept on ``m``, in the private attribute ``_standardisation``, as
+    :meth:`_SmithForm.of` keeps the Smith form; it holds tuples and frozen
+    values only, so no caller can change it.  A standard ``m`` is its own
+    standard factor and keeps nothing, so it never refers to itself.  A
+    failure is not kept: a rank-deficient ``m`` raises on every call.
+
+    Raises:
+        RankError: if ``m`` does not have full row rank.
+    """
+    kept = vars(m).get("_standardisation")
+    if kept is None:
+        r = m.rows
+        form = _SmithForm.of(m)
+        if form.rank < r:
+            raise RankError("standardize needs full row rank")
+        if form.is_standard:
+            return m, ()
+        work, peeled = _peel_primes(m, prod(form.diag[:r]))
+        if not _SmithForm.of(work).is_standard:
+            raise AssertionError("standardize must end on a standard matrix")
+        kept = (work, tuple(peeled))
+        object.__setattr__(m, "_standardisation", kept)
+    return kept
+
+
 def standardize_with_steps(
     m: IntMatrix,
 ) -> tuple[IntMatrix, IntMatrix, list[tuple]]:
@@ -521,21 +561,18 @@ def standardize_with_steps(
     standard, and ``steps`` a list of ``("row_transform", witness)`` /
     ``("row_divide", row, prime)`` records that replay the reduction on the
     input.  The reduction is :func:`_peel_primes` on the minor gcd, the
-    routine that also repairs the columns of ``well_form``.  Determinism:
-    prime factors of the minor gcd are removed in increasing order, and the
-    mod-p reduction uses the lowest available pivot column/row at every
-    choice point.
+    routine that also repairs the columns of ``well_form``; it runs at most
+    once per matrix object (:func:`_standardisation`), while ``transform``
+    and ``steps`` are built, and the factorisation checked, on every call.
+    Determinism: prime factors of the minor gcd are removed in increasing
+    order, and the mod-p reduction uses the lowest available pivot
+    column/row at every choice point.
 
     Raises:
         RankError: if ``m`` does not have full row rank.
     """
     r = m.rows
-    form = _SmithForm.of(m)
-    if form.rank < r:
-        raise RankError("standardize needs full row rank")
-    work, peeled = _peel_primes(m, prod(form.diag[:r]))
-    if not _SmithForm.of(work).is_standard:
-        raise AssertionError("standardize must end on a standard matrix")
+    work, peeled = _standardisation(m)
     transform = IntMatrix.identity(r)
     steps: list[tuple] = []
     for p, witness in peeled:

@@ -40,7 +40,6 @@ from coxforge.galefan import (
 from coxforge.intlattice import (
     IntMatrix,
     UnimodularWitness,
-    _lift_transvections,
     _sl_echelon_ops_mod_p,
     delete_column,
     hnf_canonical,
@@ -54,7 +53,7 @@ from coxforge.intlattice import (
 )
 
 from test_acceptance import ELLIPTIC_RAW, F, F2_WF, F3
-from test_smith_form import standardize_with_steps_by_smith
+from test_smith_form import lift_transvections, standardize_with_steps_by_smith
 
 M = lambda rows: IntMatrix(tuple(tuple(r) for r in rows))
 
@@ -321,7 +320,7 @@ def well_form_matrix_by_deletion(m):
             q = smallest_prime_factor(d)
             ops, _ = _sl_echelon_ops_mod_p(ak, q)
             if ops:
-                g = _lift_transvections(ops, r, q)
+                g = lift_transvections(ops, r, q)
                 steps.append(RowTransform(UnimodularWitness.of(g)))
                 work = g @ work
             steps.append(ColumnScale(k, q, r - 1))

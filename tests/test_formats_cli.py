@@ -179,6 +179,13 @@ class TestCliBasics:
         assert out == (f"minor gcd {p}\nstandard matrix:\n1 2\n1 2\n"
                        f"transform (input = transform @ standard):\n1 1\n{p}\n")
 
+    def test_standardize_tall_matrix_reports_the_rank(self, capsys, tmp_path):
+        mat = tmp_path / "a.mat"
+        mat.write_text("3 2\n1 0\n0 1\n1 1\n")
+        code, out, err = run_cli(capsys, "standardize", str(mat), "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: standardize needs full row rank\n"
+
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "standardize", example("no-such-file.cox"))
         assert code == 2 and err.startswith("error:")

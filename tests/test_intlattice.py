@@ -24,7 +24,6 @@ from coxforge.intlattice import (
     kernel_basis,
     minor_gcd,
     primitive_vector,
-    _lift_transvections,
     _proven_prime,
     _sl_echelon_ops_mod_p,
     _transvection_witness,
@@ -37,6 +36,8 @@ from coxforge.intlattice import (
     standardize_with_steps,
     unimodular_row_equivalent,
 )
+
+from test_smith_form import lift_transvections
 
 M = lambda rows: IntMatrix(tuple(tuple(r) for r in rows))
 
@@ -192,7 +193,7 @@ class TestTransvectionWitness:
                 ops, _ = _sl_echelon_ops_mod_p(
                     M([[rng.randint(-50, 50) for _ in range(n)] for _ in range(r)]), p)
             witness = _transvection_witness(ops, r, p)
-            assert witness.matrix == _lift_transvections(ops, r, p)
+            assert witness.matrix == lift_transvections(ops, r, p)
             assert witness.inverse == integer_inverse(witness.matrix)
             seen["identity"] += witness.matrix == IntMatrix.identity(r)
         assert min(seen.values()) >= 20, seen
@@ -211,7 +212,7 @@ class TestTransvectionWitness:
                     for t in range(min(i, n)):
                         row[t] *= p
             ops, _ = _sl_echelon_ops_mod_p(M(rows), p)
-            assert (not ops) == (_lift_transvections(ops, r, p) == IntMatrix.identity(r))
+            assert (not ops) == (lift_transvections(ops, r, p) == IntMatrix.identity(r))
             seen["non-empty" if ops else "empty"] += 1
         assert min(seen.values()) >= 100, seen
 

@@ -7,18 +7,28 @@ separate Smith form for each read, written against ``smith_transforms``
 alone; on random weight matrices every validation outcome (value, or
 error class and message) must agree with them, on the first query of a
 matrix and on a repeat that reads the kept form.  The pins count the
-Smith forms a few paper calls make.
+Smith forms a few paper calls make.  The standardisation is kept on the
+matrix too: ``standardize`` and ``well_form``, in either order, must agree
+with a fresh matrix and with the one-Smith-form-per-prime oracle, and a
+second call must not peel or diagonalise again.
 """
 
 import copy
+import gc
 import pickle
 import random
 from math import gcd
 
 import pytest
 
-from coxforge import _kernels
-from coxforge.coxpres import CoxPresentation, MonomialIdeal, is_well_formed, well_form
+from coxforge import _kernels, coxpres, intlattice
+from coxforge.coxpres import (
+    CoxPresentation,
+    MonomialIdeal,
+    is_well_formed,
+    verify_certificate,
+    well_form,
+)
 from coxforge.errors import (
     InvalidArgumentError,
     MustStandardizeFirstError,
@@ -30,12 +40,12 @@ from coxforge.intlattice import (
     IntMatrix,
     UnimodularWitness,
     _SmithForm,
-    _lift_transvections,
     _sl_echelon_ops_mod_p,
     hnf_canonical,
     kernel_basis,
     smallest_prime_factor,
     smith_transforms,
+    standardize,
     standardize_with_steps,
 )
 
@@ -116,6 +126,19 @@ def weights_from_rays_by_smith(b):
     return hnf_canonical(kernel_basis_by_smith(b.transpose()).transpose())
 
 
+def lift_transvections(ops, r, p):
+    """Integer determinant-one product of the transvections ``ops`` lifted from F_p.
+
+    Each op ``(i, j, c)``, ``row_i += c * row_j`` with ``i != j``, is the
+    elementary matrix ``I + (c mod p) E_ij``; later ops multiply on the left.
+    """
+    g = IntMatrix.identity(r)
+    for i, j, c in ops:
+        e = [[int(a == b) + (c % p) * (a == i and b == j) for b in range(r)] for a in range(r)]
+        g = M(e) @ g
+    return g
+
+
 def standardize_with_steps_by_smith(m):
     r = m.rows
     if rank_by_smith(m) < r:
@@ -127,7 +150,7 @@ def standardize_with_steps_by_smith(m):
     while d > 1:
         p = smallest_prime_factor(d)
         ops, _ = _sl_echelon_ops_mod_p(work, p)
-        g = _lift_transvections(ops, r, p)
+        g = lift_transvections(ops, r, p)
         gw = g @ work
         new_rows = [list(gw.row(i)) for i in range(r - 1)]
         new_rows.append([x // p for x in gw.row(r - 1)])
@@ -309,3 +332,162 @@ class TestOneSmithFormPerValue:
         # the input kept its form when it was built; one each for the
         # standardised, column-repaired and Hermite-canonical matrices
         assert len(smith_calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# standardisation kept on the matrix
+
+
+def planted_weights(rng):
+    """Full-rank weights with no zero column and a composite factor planted in one row.
+
+    A random determinant-one row mix hides the factor, so the minor gcd has
+    repeated and distinct primes and the peeling needs row transforms.
+    """
+    r = rng.randint(1, 3)
+    n = rng.randint(r + 1, r + 4)
+    while True:
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+        i, f = rng.randrange(r), rng.choice((4, 6, 9, 10, 12, 18, 30))
+        rows[i] = [f * e for e in rows[i]]
+        for _ in range(2 * r if r > 1 else 0):
+            a, b = rng.sample(range(r), 2)
+            c = rng.randint(-3, 3)
+            rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
+        m = M(rows)
+        if rank_by_smith(m) == r and all(any(col) for col in m.columns()):
+            return m
+
+
+def stacky(m):
+    names = tuple(f"v{j}" for j in range(m.cols))
+    return CoxPresentation(names, m, MonomialIdeal((tuple(range(m.cols)),)), True)
+
+
+def well_form_outcome(p):
+    got = outcome(well_form, p)
+    if got[0] != "ok":
+        return got
+    model, cert = got[1]
+    return model, cert, verify_certificate(p.weights, cert, model.weights)
+
+
+class TestStandardisationKeptOnTheMatrix:
+    def test_either_order_matches_a_fresh_matrix_and_the_oracle(self):
+        rng = random.Random(1807)
+        seen = {"peeled": 0, "repaired": 0, "unsupported": 0}
+        for _ in range(3000):
+            m = planted_weights(rng)
+            expected_steps = standardize_with_steps_by_smith(M(m.entries))
+            assert standardize_with_steps(M(m.entries)) == expected_steps, m
+            expected_wf = well_form_outcome(stacky(M(m.entries)))
+            if expected_wf[0] is UnsupportedFeatureError:
+                seen["unsupported"] += 1
+            else:
+                assert expected_wf[2] is True, m
+                kinds = {type(step).__name__ for step in expected_wf[1].steps}
+                seen["repaired" if "ColumnScale" in kinds else "peeled"] += 1
+            # whichever runs second reads the standardisation the first kept
+            p = stacky(M(m.entries))
+            assert standardize_with_steps(p.weights) == expected_steps, m
+            assert standardize(p.weights) == expected_steps[:2], m
+            assert well_form_outcome(p) == expected_wf, m
+            p = stacky(M(m.entries))
+            assert well_form_outcome(p) == expected_wf, m
+            assert standardize(p.weights) == expected_steps[:2], m
+            assert standardize_with_steps(p.weights) == expected_steps, m
+            assert "_standardisation" in vars(p.weights)
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.fixture
+    def peel_calls(self, monkeypatch):
+        """The ``column`` of each ``_peel_primes`` call: None when it standardises."""
+        calls = []
+        real = intlattice._peel_primes
+
+        def counted(work, d, column=None):
+            calls.append(column)
+            return real(work, d, column)
+
+        monkeypatch.setattr(intlattice, "_peel_primes", counted)
+        monkeypatch.setattr(coxpres, "_peel_primes", counted)
+        return calls
+
+    def test_second_standardize_peels_nothing(self, peel_calls, smith_calls):
+        m = M([[3, 3, 3, 0, -2], [1, 1, 1, 2, 0]])
+        first = standardize_with_steps(m)
+        assert peel_calls == [None] and len(smith_calls) == 2  # m and its standard factor
+        assert standardize_with_steps(m) == first
+        assert standardize(m) == first[:2]
+        assert peel_calls == [None] and len(smith_calls) == 2
+        standardize(M(m.entries))  # an equal value is another object
+        assert peel_calls == [None, None] and len(smith_calls) == 4
+
+    def test_second_well_form_does_not_standardise_again(self, peel_calls, smith_calls):
+        p = CoxPresentation(
+            F2_STACKY.variables, M(F2_STACKY.weights.entries), F2_STACKY.irrelevant, True
+        )
+        smith_calls.clear()
+        first = well_form(p)
+        assert peel_calls.count(None) == 1 and len(smith_calls) == 3
+        assert well_form(p) == first
+        # the standardised matrix keeps its form; the column-repaired and
+        # Hermite-canonical matrices are new objects on every call
+        assert peel_calls.count(None) == 1 and len(smith_calls) == 3 + 2
+        assert standardize(p.weights) == standardize(M(F2_STACKY.weights.entries))
+        assert peel_calls.count(None) == 2 and len(smith_calls) == 3 + 2 + 2
+
+    def test_standardize_then_well_form_adds_no_smith_form(self, peel_calls, smith_calls):
+        # one planted prime and no column repair: well_form's standard
+        # factor is already Hermite-canonical, so it adds no elimination
+        p = P("xyz", [[1, 0, 1], [0, 2, 2]], [(0, 1, 2)], stacky=True)
+        transform, standard = standardize(p.weights)
+        assert peel_calls == [None]
+        calls = len(smith_calls)
+        model, cert = well_form(p)
+        assert model.weights is standard and verify_certificate(p.weights, cert, standard)
+        assert peel_calls == [None] and len(smith_calls) == calls
+
+    def test_rank_deficient_input_raises_on_every_call(self, peel_calls):
+        m = M([[1, 2, 3], [2, 4, 6]])
+        for f in (standardize, standardize_with_steps) * 2:
+            with pytest.raises(RankError, match="standardize needs full row rank"):
+                f(m)
+        assert "_standardisation" not in vars(m) and peel_calls == []
+
+    def test_mutated_steps_do_not_reach_the_next_call(self):
+        m = M([[6, 0, 4, 2], [0, 3, 3, 3]])
+        transform, work, steps = standardize_with_steps(m)
+        expected = list(steps)
+        assert len(expected) >= 3
+        steps.clear()
+        steps.append(("row_divide", 0, 7))
+        assert standardize_with_steps(m) == (transform, work, expected)
+        _, peeled = vars(m)["_standardisation"]
+        assert type(peeled) is tuple and all(type(record) is tuple for record in peeled)
+
+    def test_value_semantics_ignore_the_kept_standardisation(self):
+        m = M([[3, 3, 3, 0, -2], [1, 1, 1, 2, 0]])
+        before = (hash(m), repr(m), type(m).__match_args__, pickle.dumps(m),
+                  copy.copy(m), copy.deepcopy(m))
+        standardize(m)
+        assert "_standardisation" in vars(m)
+        after = (hash(m), repr(m), type(m).__match_args__, pickle.dumps(m),
+                 copy.copy(m), copy.deepcopy(m))
+        assert after == before and m == M(m.entries) and M(m.entries) == m
+        for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert twin == m and "_standardisation" not in vars(twin)
+            assert standardize(twin) == standardize(m)
+
+    def test_standard_input_keeps_nothing_and_makes_no_cycle(self, peel_calls):
+        m = M([[1, 1, 1, 0, -2], [0, 0, 0, 1, 1]])
+        gc.collect()
+        gc.disable()
+        try:
+            assert standardize_with_steps(m) == (IntMatrix.identity(2), m, [])
+            assert standardize(m)[1] is m
+            assert "_standardisation" not in vars(m) and peel_calls == []
+            del m
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
