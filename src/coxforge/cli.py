@@ -47,7 +47,7 @@ from .formats import (
     serialize_matrix,
     serialize_presentation,
 )
-from .intlattice import IntMatrix, minor_gcd, standardize
+from .intlattice import minor_gcd, standardize
 
 __all__ = ["main"]
 
@@ -68,15 +68,11 @@ def _write(path: str, content: str) -> None:
         raise CoxforgeError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _matrix_payload(m: IntMatrix) -> list[list[int]]:
-    return [list(row) for row in m.entries]
-
-
 def _presentation_payload(p: CoxPresentation) -> dict:
     return {
         "rank": p.rank,
         "variables": list(p.variables),
-        "weights": _matrix_payload(p.weights),
+        "weights": p.weights.to_lists(),
         "irrelevant": [
             [p.variables[i] for i in comp] for comp in p.irrelevant.components
         ],
@@ -87,7 +83,7 @@ def _presentation_payload(p: CoxPresentation) -> dict:
 def _step_payload(step) -> dict:
     kind = type(step).__name__
     if kind == "RowTransform":
-        return {"kind": "row_transform", "matrix": _matrix_payload(step.witness.matrix)}
+        return {"kind": "row_transform", "matrix": step.witness.matrix.to_lists()}
     if kind == "ColumnScale":
         return {
             "kind": "column_scale",
@@ -133,8 +129,8 @@ def _cmd_standardize(args) -> tuple[str, dict]:
     ]
     payload = {
         "minor_gcd": gcd_before,
-        "standard": _matrix_payload(standard),
-        "transform": _matrix_payload(transform),
+        "standard": standard.to_lists(),
+        "transform": transform.to_lists(),
     }
     return "\n".join(human), payload
 
@@ -178,7 +174,7 @@ def _cmd_gale(args) -> tuple[str, dict]:
         for i in range(b.rows)
     )
     return "\n".join(human), {
-        "rays": _matrix_payload(b),
+        "rays": b.to_lists(),
         "variables": list(p.variables),
     }
 

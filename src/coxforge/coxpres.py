@@ -12,7 +12,7 @@ permutation.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+from itertools import chain, product
 from math import gcd
 from typing import Iterable, Sequence, Union
 
@@ -29,7 +29,6 @@ from .intlattice import (
     _peel_primes,
     _SmithForm,
     _standardisation,
-    hnf_canonical,
     smallest_prime_factor,
 )
 
@@ -630,14 +629,15 @@ def presentations_equivalent(p: CoxPresentation, q: CoxPresentation) -> bool:
       ideal to itself, are interchangeable, so each twin goes to a larger
       target than its nearest earlier twin and both orders of a twin pair
       are never tried;
-    * a unimodular row transform scales every signed maximal minor by the
-      same ``det = +-1``, so a placement is rejected as soon as a minor
-      over placed columns breaks this, with the sign fixed by the first
-      nonzero minor.
+    * a placement is kept only when the placed target columns, in the
+      order their sources were placed, have the Hermite form of the placed
+      source columns (the form is canonical for unimodular row moves, so a
+      transform maps the whole matrices onto each other only if it maps
+      each prefix), and each ideal component that the placed column
+      completes maps onto a component of the other ideal.
 
-    A complete placement is accepted when its permuted weights have the
-    other model's Hermite form and it maps one irrelevant ideal onto the
-    other.
+    At a complete placement the prefix is the whole matrix and every
+    component has been mapped, so it is accepted with no further test.
     """
     if p.num_variables != q.num_variables or p.rank != q.rank:
         return False
@@ -650,7 +650,7 @@ def presentations_equivalent(p: CoxPresentation, q: CoxPresentation) -> bool:
     b_sig = _ideal_signature(qw.irrelevant, n)
     if sorted(a_gcds) != sorted(b_gcds) or sorted(a_sig) != sorted(b_sig):
         return False
-    return _ColumnSearch(pw, qw, a_gcds, b_gcds, a_sig, b_sig).place(0, 0)
+    return _ColumnSearch(pw, qw, a_gcds, b_gcds, a_sig, b_sig).place(0)
 
 
 def _twins(ideal: MonomialIdeal, m: IntMatrix) -> list[int | None]:
@@ -672,43 +672,16 @@ def _twins(ideal: MonomialIdeal, m: IntMatrix) -> list[int | None]:
     return twins
 
 
-def _minor(m: IntMatrix, cols: Sequence[int]) -> int:
-    """The maximal minor of ``m`` on ``cols``, taken in that order."""
-    return _kernels.det([[row[c] for c in cols] for row in m.entries])
-
-
-def _minor_checks(m: IntMatrix) -> list[list[tuple[tuple[int, ...], int]]]:
-    """Each column's minor checks: pairs of ``r - 1`` earlier columns and the
-    signed minor they make with the column.
-
-    A column checks its minors with every ``r - 1`` earlier columns until
-    the columns of the first nonzero minor, a basis, are known.  After that
-    Cramer's rule makes a column's ``r`` minors against the basis fix all
-    its others, so later columns check only those.
-    """
-    r = m.rows
-    basis = None
-    out = []
-    for s in range(m.cols):
-        if basis is None:
-            combos: Iterable[tuple[int, ...]] = combinations(range(s), r - 1)
-        else:
-            combos = (basis[:i] + basis[i + 1 :] for i in range(r))
-        checks = [(c, _minor(m, c + (s,))) for c in combos]
-        if basis is None:
-            basis = next((c + (s,) for c, minor in checks if minor), None)
-        out.append(checks)
-    return out
-
-
 class _ColumnSearch:
     """Backtracking placement of ``pw``'s columns onto ``qw``'s.
 
-    ``place(src, sign)`` extends a placement of the source columns before
-    ``src``; ``sign`` is the common determinant of the row transform, or 0
-    while every minor over placed columns is zero.  A target minor is taken
-    on its columns in the order their sources were placed, which gives it
-    the sign to compare, and is computed once per search.
+    ``place(src)`` extends a placement of the source columns before
+    ``src``.  Each placement passes one prefix check, as in VF2 (Cordella
+    et al., IEEE TPAMI 26, 2004): the placed columns have equal Hermite
+    forms, and the components they complete map onto target components
+    (see :func:`presentations_equivalent`).  A complete placement has
+    passed it on the whole matrix and on every component, so it is an
+    equivalence.  The source prefix forms are computed once per search.
     """
 
     def __init__(
@@ -720,59 +693,49 @@ class _ColumnSearch:
         a_sig: Sequence[tuple[int, ...]],
         b_sig: Sequence[tuple[int, ...]],
     ) -> None:
-        self.pw, self.qw = pw, qw
-        n = self.n = pw.weights.cols
+        a = pw.weights
+        n = self.n = a.cols
         self.options = [
             [d for d in range(n) if a_gcds[s] == b_gcds[d] and a_sig[s] == b_sig[d]]
             for s in range(n)
         ]
-        self.twin = _twins(pw.irrelevant, pw.weights)
-        self.checks = _minor_checks(pw.weights)
-        self.b_minors: dict[tuple[int, ...], int] = {}
+        self.twin = _twins(pw.irrelevant, a)
+        self.a_forms = [_kernels.hermite([row[: s + 1] for row in a.entries]) for s in range(n)]
+        self.b_rows = qw.weights.entries
+        # ``closing[s]`` holds the source components whose largest index is
+        # ``s``, checked when ``s`` is placed.  The sorted ideal signatures
+        # agree, so both ideals have the same number of components: once
+        # every source component maps onto a target component (distinct
+        # ones onto distinct ones, the placement being injective), the
+        # mapped ideal is the target ideal.
+        self.closing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        for comp in pw.irrelevant.components:
+            self.closing[max(comp)].append(comp)
+        self.b_comps = qw.irrelevant._key()
         self.targets = [0] * n  # source column -> target column
         self.used = [False] * n
 
-    def place(self, src: int, sign: int) -> bool:
+    def place(self, src: int) -> bool:
         if src == self.n:
-            return self._complete()
+            return True
         twin = self.twin[src]
         floor = -1 if twin is None else self.targets[twin]
+        targets, used = self.targets, self.used
         for dst in self.options[src]:
-            if self.used[dst] or dst <= floor:
+            if used[dst] or dst <= floor:
                 continue
-            new_sign = self._minor_sign(src, dst, sign)
-            if new_sign is None:
+            targets[src] = dst
+            if any(
+                frozenset(targets[i] for i in comp) not in self.b_comps
+                for comp in self.closing[src]
+            ):
                 continue
-            self.targets[src] = dst
-            self.used[dst] = True
-            if self.place(src + 1, new_sign):
+            placed = targets[: src + 1]
+            prefix = [[row[t] for t in placed] for row in self.b_rows]
+            if _kernels.hermite(prefix) != self.a_forms[src]:
+                continue
+            used[dst] = True
+            if self.place(src + 1):
                 return True
-            self.used[dst] = False
+            used[dst] = False
         return False
-
-    def _minor_sign(self, src: int, dst: int, sign: int) -> int | None:
-        """The transform's sign once ``src`` goes to ``dst``, or None when a
-        minor over the placed columns rules the placement out."""
-        targets, b_minors = self.targets, self.b_minors
-        for combo, ma in self.checks[src]:
-            cols = tuple(targets[s] for s in combo) + (dst,)
-            mb = b_minors.get(cols)
-            if mb is None:
-                mb = b_minors[cols] = _minor(self.qw.weights, cols)
-            if sign == 0 and ma:
-                if abs(mb) != abs(ma):
-                    return None
-                sign = mb // ma
-            elif mb != sign * ma:
-                return None
-        return sign
-
-    def _complete(self) -> bool:
-        a, b = self.pw.weights, self.qw.weights
-        source = [0] * self.n  # target column -> source column
-        for s, t in enumerate(self.targets):
-            source[t] = s
-        permuted = IntMatrix(tuple(tuple(row[s] for s in source) for row in a.entries))
-        if hnf_canonical(permuted) != b:
-            return False
-        return self.pw.irrelevant.mapped(self.targets) == self.qw.irrelevant

@@ -28,6 +28,7 @@ from coxforge.formats import (
 from coxforge.galefan import fan_from_presentation
 
 from test_acceptance import BLOWUP_SPEC, CI, ELLIPTIC_RAW, F, F2_STACKY, F3, TV
+from test_coxpres import PENTAGONAL_PRISM, PETERSEN, graph_presentation
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 EXAMPLE_PRESENTATIONS = [
@@ -211,6 +212,17 @@ class TestCliBasics:
         assert code == 0 and out.strip() == "equivalent"
         code, out, _ = run_cli(capsys, "equiv", example("calT.cox"), example("F.cox"))
         assert code == 0 and out.strip() == "not equivalent"
+
+    def test_equiv_json_on_graphs(self, capsys, tmp_path):
+        paths = []
+        for name, edges in ("petersen", PETERSEN), ("prism", PENTAGONAL_PRISM):
+            path = tmp_path / f"{name}.cox"
+            path.write_text(serialize_presentation(graph_presentation(10, edges)))
+            paths.append(str(path))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "equiv", *paths, "--json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, '{"equivalent":false}\n')
 
 
 class TestCliGeometry:
