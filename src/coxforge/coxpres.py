@@ -301,6 +301,10 @@ class CoxPresentation:
                 "weights are not well-formed; pass stacky=True for the stack"
             )
 
+    def __getstate__(self) -> dict:
+        # Pickles and copies carry the value alone, never the kept sweep.
+        return {name: getattr(self, name) for name in self.__match_args__}
+
     @property
     def rank(self) -> int:
         return self.weights.rows
@@ -485,7 +489,16 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
     in increasing order, and the result is Hermite-canonical.
     Already-canonical well-formed input gives an empty step list.  ``m``
     must have full row rank.
+
+    The pair is kept on ``m``, in the private attribute ``_well_formed``,
+    as :func:`~coxforge.intlattice._standardisation` keeps its own, so the
+    postconditions below run once per matrix object.  A matrix that is its
+    own model keeps nothing, and a failure is not kept: a column whose
+    deletion drops the rank raises on every call.
     """
+    kept = vars(m).get("_well_formed")
+    if kept is not None:
+        return kept
     r = m.rows
     steps: list[Step] = []
 
@@ -522,7 +535,10 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
         raise AssertionError("well-forming postcondition")
     if _replay(m, steps) != work:
         raise AssertionError("well-forming certificate must replay to the model")
-    return work, tuple(steps)
+    kept = (work, tuple(steps))
+    if steps:
+        object.__setattr__(m, "_well_formed", kept)
+    return kept
 
 
 def well_form(p: CoxPresentation) -> tuple[CoxPresentation, WellFormingCertificate]:

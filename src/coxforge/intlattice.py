@@ -7,8 +7,8 @@ Smith, and the Bareiss elimination behind rank and determinant) are
 delegated to :mod:`coxforge._kernels`.
 
 An ``IntMatrix`` is frozen, so what is computed from it never goes stale,
-and two invariants are kept on the matrix object once computed, each in a
-private attribute that is not a field (hashes, reprs, equality, pickles
+and three invariants are kept on the matrix object once computed, each in
+a private attribute that is not a field (hashes, reprs, equality, pickles
 and copies never see it):
 
 * ``_smith_form``: its Smith form.  The first question that needs it
@@ -18,6 +18,8 @@ and copies never see it):
 * ``_standardisation``: its standard factor and the primes peeled to reach
   it, shared by :func:`standardize` and the first phase of
   :func:`coxforge.coxpres.well_form`.
+* ``_well_formed``: its well-formed model and the certificate steps that
+  reach it, kept by :func:`coxforge.coxpres.well_form`.
 
 A rank alone needs no Smith form; it comes from a transform-free Bareiss
 elimination.
@@ -104,7 +106,7 @@ class IntMatrix:
 
     def __getstate__(self) -> dict:
         # Pickles and copies carry the value alone, never the kept Smith
-        # form or standardisation.
+        # form, standardisation or well-formed model.
         return {"entries": self.entries}
 
     def to_lists(self) -> list[list[int]]:
@@ -186,8 +188,9 @@ class _SmithForm:
     matrix is frozen, so the form never goes stale.  In the same way
     :meth:`gale_row_gcds` keeps its tuple on the form, in
     ``_gale_row_gcds``, so each presentation built on the matrix reads its
-    well-formedness without walking ``v`` again.  The one other memo on a
-    matrix is its ``_standardisation`` (:func:`_standardisation`).  No memo
+    well-formedness without walking ``v`` again.  The other memos on a
+    matrix are its ``_standardisation`` (:func:`_standardisation`) and its
+    ``_well_formed`` model (:func:`coxforge.coxpres.well_form`).  No memo
     is a field: hashes, reprs, equality and pickles of the matrix never see
     them.
     """

@@ -229,6 +229,11 @@ class _Sweep:
     counterclockwise first.  Otherwise the orientation placing the first
     variable's wall nearer the start wins, counterclockwise on a tie.
 
+    Each entry point reads the sweep through :func:`_sweep_of`, so it is
+    computed once per presentation object.  It holds tuples and the
+    fields of ``p`` that :meth:`model` reads, never ``p`` itself: no
+    caller can change it, and it makes no reference cycle with ``p``.
+
     Raises:
         InvalidArgumentError: if ``p`` does not have rank 2.
         NotQuasiProjectiveError: if the columns span the whole plane.
@@ -236,9 +241,9 @@ class _Sweep:
 
     def __init__(self, p: CoxPresentation) -> None:
         _require_rank2(p)
-        self.p = p
+        self.variables, self.weights, self.stacky = p.variables, p.weights, p.stacky
         self.cols = p.weights.columns()
-        self.dirs = [primitive_vector(c) for c in self.cols]
+        self.dirs = tuple(primitive_vector(c) for c in self.cols)
         self.lo, self.hi = _support_extremes(self.dirs)
         walls = _sweep_from(self.dirs, self.lo)
         pos = {d: i for i, d in enumerate(walls)}
@@ -256,7 +261,7 @@ class _Sweep:
             walls.reverse()
             at = back
         self.walls = tuple(walls)
-        self.at = at
+        self.at = tuple(at)
         self.chambers = tuple(
             Chamber(walls[i], walls[i + 1], i) for i in range(len(walls) - 1)
         )
@@ -264,10 +269,10 @@ class _Sweep:
     def model(self, index: int) -> CoxPresentation:
         """The presentation whose irrelevant ideal selects chamber ``index``."""
         return CoxPresentation(
-            variables=self.p.variables,
-            weights=self.p.weights,
+            variables=self.variables,
+            weights=self.weights,
             irrelevant=MonomialIdeal(_split(self.at, index)),
-            stacky=self.p.stacky,
+            stacky=self.stacky,
         )
 
     def crossing(self, w: Vec2) -> WallCrossing:
@@ -301,11 +306,25 @@ class _Sweep:
         return self.walls[s[1]], self.walls[s[-2]]
 
 
+def _sweep_of(p: CoxPresentation) -> _Sweep:
+    """The sweep of ``p``, kept on ``p`` in the private attribute ``_sweep``.
+
+    ``_sweep`` is not a field, so hashes, reprs, equality, pickles and
+    copies of ``p`` never see it.  A failure is not kept: rank other than
+    2, or columns spanning the whole plane, raise on every call.
+    """
+    sweep = vars(p).get("_sweep")
+    if sweep is None:
+        sweep = _Sweep(p)
+        object.__setattr__(p, "_sweep", sweep)
+    return sweep
+
+
 def chambers_rank2(
     p: CoxPresentation,
 ) -> tuple[tuple[Vec2, ...], tuple[Chamber, ...]]:
     """Walls (ordered primitive rays) and the chambers between them."""
-    sweep = _Sweep(p)
+    sweep = _sweep_of(p)
     return sweep.walls, sweep.chambers
 
 
@@ -316,7 +335,7 @@ def model_at_chamber(p: CoxPresentation, chamber: Chamber) -> CoxPresentation:
     the first component, the rest the second (on-wall columns join the
     near side).
     """
-    sweep = _Sweep(p)
+    sweep = _sweep_of(p)
     if chamber.index >= len(sweep.chambers) or sweep.chambers[chamber.index] != chamber:
         raise InvalidArgumentError(f"{chamber} is not a chamber of this sweep")
     return sweep.model(chamber.index)
@@ -329,7 +348,7 @@ def wall_crossing(p: CoxPresentation, wall: Sequence[int]) -> WallCrossing:
     positive on the earlier-chamber side; on-wall variables go to
     ``base_vars`` with their multiples of the wall primitive.
     """
-    return _Sweep(p).crossing(tuple(primitive_vector(wall)))
+    return _sweep_of(p).crossing(tuple(primitive_vector(wall)))
 
 
 def cones_rank2(
@@ -344,7 +363,7 @@ def cones_rank2(
     Raises:
         UnsupportedFeatureError: if the moving cone is empty.
     """
-    sweep = _Sweep(p)
+    sweep = _sweep_of(p)
     return (sweep.walls[0], sweep.walls[-1]), sweep.moving()
 
 
@@ -443,7 +462,7 @@ def graded_ring_generators(
         )
     target = (int(chi[0]), int(chi[1]))
     _check_level(target, degree_bound)
-    return _generators(_Sweep(p), target, degree_bound)
+    return _generators(_sweep_of(p), target, degree_bound)
 
 
 def monomial_string(variables: Sequence[str], exponents: Sequence[int]) -> str:
@@ -504,14 +523,14 @@ def end_behavior(
     """
     _require_rank2(p)
     ray = tuple(primitive_vector(extreme_ray))
-    return _end(_Sweep(p), ray, degree_bound)
+    return _end(_sweep_of(p), ray, degree_bound)
 
 
 def two_ray_game(
     p: CoxPresentation, degree_bound: Optional[int] = None
 ) -> GameDiagram:
     """Every model, crossing and end of the rank-2 game, in sweep order."""
-    sweep = _Sweep(p)
+    sweep = _sweep_of(p)
     models = tuple(sweep.model(c.index) for c in sweep.chambers)
     crossings = tuple(sweep.crossing(w) for w in sweep.walls[1:-1])
     low, high = sweep.moving()
@@ -544,7 +563,7 @@ def anticanonical_in_moving_interior(
         if all(c < 0 for c in cols):
             return total[0] < 0
         raise NotQuasiProjectiveError("rank-1 weights of mixed sign")
-    sweep = _Sweep(p)
+    sweep = _sweep_of(p)
     mlo, mhi = sweep.moving()
     v = (total[0], total[1])
     if mlo == mhi:

@@ -10,7 +10,9 @@ matrix and on a repeat that reads the kept form.  The pins count the
 Smith forms a few paper calls make.  The standardisation is kept on the
 matrix too: ``standardize`` and ``well_form``, in either order, must agree
 with a fresh matrix and with the one-Smith-form-per-prime oracle, and a
-second call must not peel or diagonalise again.
+second call must not peel or diagonalise again.  So is the well-formed
+model: a second ``well_form`` of the same matrix object recomputes
+nothing.
 """
 
 import copy
@@ -430,12 +432,13 @@ class TestStandardisationKeptOnTheMatrix:
         smith_calls.clear()
         first = well_form(p)
         assert peel_calls.count(None) == 1 and len(smith_calls) == 3
+        peels = len(peel_calls)
+        # the model and its steps are kept on the input matrix
         assert well_form(p) == first
-        # the standardised matrix keeps its form; the column-repaired and
-        # Hermite-canonical matrices are new objects on every call
-        assert peel_calls.count(None) == 1 and len(smith_calls) == 3 + 2
+        assert len(peel_calls) == peels and len(smith_calls) == 3
+        assert well_form(p)[0].weights is first[0].weights
         assert standardize(p.weights) == standardize(M(F2_STACKY.weights.entries))
-        assert peel_calls.count(None) == 2 and len(smith_calls) == 3 + 2 + 2
+        assert peel_calls.count(None) == 2 and len(smith_calls) == 3 + 2
 
     def test_standardize_then_well_form_adds_no_smith_form(self, peel_calls, smith_calls):
         # one planted prime and no column repair: well_form's standard
@@ -454,6 +457,41 @@ class TestStandardisationKeptOnTheMatrix:
             with pytest.raises(RankError, match="standardize needs full row rank"):
                 f(m)
         assert "_standardisation" not in vars(m) and peel_calls == []
+
+    def test_rank_dropping_column_raises_on_every_call(self):
+        # deleting column 0 leaves a matrix of rank 1
+        p = P("xyz", [[2, 0, 0], [0, 1, 1]], [(0,), (1, 2)], stacky=True)
+        for _ in range(2):
+            with pytest.raises(UnsupportedFeatureError, match="deleting column 0 drops the rank"):
+                well_form(p)
+        assert "_well_formed" not in vars(p.weights)
+
+    def test_well_formed_input_keeps_nothing_and_makes_no_cycle(self, peel_calls):
+        p = CoxPresentation(F2_WF.variables, M(F2_WF.weights.entries), F2_WF.irrelevant)
+        gc.collect()
+        gc.disable()
+        try:
+            model, cert = well_form(p)
+            assert model.weights is p.weights and cert.steps == ()
+            assert "_well_formed" not in vars(p.weights) and peel_calls == []
+            del p, model, cert
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_value_semantics_ignore_the_kept_model(self):
+        p = CoxPresentation(
+            F2_STACKY.variables, M(F2_STACKY.weights.entries), F2_STACKY.irrelevant, True
+        )
+        m = p.weights
+        before = (hash(m), repr(m), type(m).__match_args__, pickle.dumps(m))
+        first = well_form(p)
+        assert vars(m)["_well_formed"][0] is first[0].weights
+        assert (hash(m), repr(m), type(m).__match_args__, pickle.dumps(m)) == before
+        for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert twin == m and m == twin
+            assert not {"_smith_form", "_standardisation", "_well_formed"} & set(vars(twin))
+            assert well_form(CoxPresentation(p.variables, twin, p.irrelevant, True)) == first
 
     def test_mutated_steps_do_not_reach_the_next_call(self):
         m = M([[6, 0, 4, 2], [0, 3, 3, 3]])

@@ -1,5 +1,8 @@
 """Rank-2 variation of GIT: chambers, crossings, ends, and the two-ray game."""
 
+import copy
+import gc
+import pickle
 import random
 import time
 from collections import Counter
@@ -304,6 +307,30 @@ def random_rank2(rng):
             continue
 
 
+def fresh(p):
+    """An equal presentation that shares no object with ``p``."""
+    return CoxPresentation(
+        p.variables,
+        IntMatrix(p.weights.entries),
+        MonomialIdeal(p.irrelevant.components),
+        p.stacky,
+    )
+
+
+@pytest.fixture
+def sweeps_built(monkeypatch):
+    """The presentation of each ``_Sweep`` built while the test runs."""
+    built = []
+
+    class Counted(vgit._Sweep):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(vgit, "_Sweep", Counted)
+    return built
+
+
 class TestSweepOracle:
     def test_sweep_matches_pairwise_oracle(self):
         rng = random.Random(20)
@@ -366,18 +393,10 @@ class TestSweepOracle:
         }
         assert empty_moving > 0
 
-    def test_game_builds_one_sweep(self, monkeypatch):
-        built = []
-
-        class Counted(vgit._Sweep):
-            def __init__(self, *args):
-                built.append(1)
-                super().__init__(*args)
-
-        monkeypatch.setattr(vgit, "_Sweep", Counted)
-        game = two_ray_game(F)
+    def test_game_builds_one_sweep(self, sweeps_built):
+        game = two_ray_game(fresh(F))  # ``F`` keeps the sweep an earlier test built
         assert len(game.models) == 4
-        assert len(built) == 1
+        assert len(sweeps_built) == 1
 
     def test_game_reuses_the_input_smith_form(self, monkeypatch):
         # every chamber model shares the weights object of ``pres``, whose
@@ -647,3 +666,109 @@ class TestCharacterLength:
     def test_character_must_have_two_entries(self, chi):
         with pytest.raises(InvalidArgumentError, match="does not match rank 2"):
             graded_ring_generators(F2, chi, 2)
+
+
+# ---------------------------------------------------------------------------
+# one sweep per presentation object
+
+
+def entry_point_calls(walls, chambers):
+    """Each of the eight entry points as ``f(p)``, once per wall or chamber."""
+    calls = [
+        chambers_rank2,
+        cones_rank2,
+        two_ray_game,
+        lambda p: anticanonical_in_moving_interior(p, []),
+    ]
+    calls += [lambda p, c=c: model_at_chamber(p, c) for c in chambers]
+    for w in walls:
+        calls += [
+            lambda p, w=w: wall_crossing(p, w),
+            lambda p, w=w: end_behavior(p, w),
+            lambda p, w=w: graded_ring_generators(p, w, 2),
+        ]
+    return calls
+
+
+class TestSweepKeptOnThePresentation:
+    def test_eight_entry_points_build_one_sweep(self, sweeps_built):
+        p = fresh(F)
+        walls, chambers = chambers_rank2(p)
+        model_at_chamber(p, chambers[1])
+        wall_crossing(p, walls[1])
+        low, high = cones_rank2(p)[1]
+        graded_ring_generators(p, low, 2)
+        end_behavior(p, high)
+        two_ray_game(p)
+        anticanonical_in_moving_interior(p, [])
+        assert sweeps_built == [p] and vars(p)["_sweep"].walls == walls
+
+    def test_reused_object_answers_as_a_fresh_one(self):
+        rng = random.Random(2020)
+        seen = Counter()
+        for _ in range(150):
+            p = random_rank2(rng)
+            got = outcome(chambers_rank2, fresh(p))
+            walls, chambers = got[1] if got[0] == "ok" else ((), ())
+            calls = entry_point_calls(walls, chambers)
+            expected = [outcome(f, fresh(p)) for f in calls]
+            order = list(range(len(calls)))
+            rng.shuffle(order)  # any entry point may be the one that builds the sweep
+            for i in order * 2:
+                assert outcome(calls[i], p) == expected[i], (p, i)
+            assert ("_sweep" in vars(p)) == (got[0] == "ok")
+            seen.update(kind for kind, _ in expected)
+        assert set(seen) == {
+            "ok", InvalidArgumentError, NotQuasiProjectiveError, UnsupportedFeatureError
+        }, seen
+
+    @pytest.mark.parametrize(
+        "p, error",
+        [
+            (P("abc", [[1, 0, 1], [0, 1, 1], [1, 1, 3]], [(0, 1, 2)], True),
+             InvalidArgumentError),
+            (P("abcd", [[1, 0, -1, 0], [0, 1, 0, -1]], [(0, 1), (2, 3)]),
+             NotQuasiProjectiveError),
+        ],
+        ids=["rank-3", "whole-plane"],
+    )
+    def test_a_failed_sweep_raises_on_every_call_and_keeps_nothing(self, p, error):
+        calls = entry_point_calls(((1, 0),), (Chamber((1, 0), (0, 1), 0),))
+        assert len(calls) == 8
+        for f in calls * 2:
+            assert outcome(f, p)[0] is error
+        assert "_sweep" not in vars(p)
+
+    def test_an_empty_moving_cone_raises_on_every_call(self):
+        # the sweep exists and is kept; only the questions that need the
+        # moving cone fail, each time they are asked
+        p = P("ab", [[1, 0], [0, 1]], [(0,), (1,)], stacky=True)
+        for f in (cones_rank2, two_ray_game) * 2:
+            with pytest.raises(UnsupportedFeatureError, match="moving cone is empty"):
+                f(p)
+        sweep = vars(p)["_sweep"]
+        assert chambers_rank2(p) == (sweep.walls, sweep.chambers)
+
+    def test_kept_sweep_holds_values_and_makes_no_cycle(self):
+        p = fresh(F)
+        game = two_ray_game(p)
+        sweep = vars(p)["_sweep"]
+        assert not any(value is p for value in vars(sweep).values())
+        assert {type(value) for value in vars(sweep).values()} == {tuple, int, bool, IntMatrix}
+        gc.collect()
+        gc.disable()
+        try:
+            del p, game, sweep
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_pickles_and_copies_carry_no_sweep(self):
+        p = fresh(F)
+        before = (hash(p), repr(p), pickle.dumps(p))
+        game = two_ray_game(p)
+        assert "_sweep" in vars(p)
+        assert (hash(p), repr(p), pickle.dumps(p)) == before
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert twin == p and p == twin and "_sweep" not in vars(twin)
+            assert two_ray_game(twin) == game
