@@ -29,6 +29,7 @@ from .intlattice import (
     _peel_primes,
     _SmithForm,
     _standardisation,
+    rank,
     smallest_prime_factor,
 )
 
@@ -635,8 +636,12 @@ def presentations_equivalent(p: CoxPresentation, q: CoxPresentation) -> bool:
 
     True when the well-formed models differ by a variable permutation and a
     unimodular row transform that also identifies the irrelevant ideals.
-    The permutation search places the source columns in order and prunes
-    in three ways:
+    Before any search, the two models must agree on the sorted multiset of
+    (size, rank of its weight columns) over the ideal components: a row
+    transform keeps the rank of any set of columns, and an equivalence
+    maps each component onto one of the other ideal.  The permutation
+    search then places the source columns in order and prunes in four
+    ways:
 
     * a column goes only where the gcd of its weights and the multiset of
       sizes of its ideal components match, both invariant under
@@ -645,6 +650,9 @@ def presentations_equivalent(p: CoxPresentation, q: CoxPresentation) -> bool:
       ideal to itself, are interchangeable, so each twin goes to a larger
       target than its nearest earlier twin and both orders of a twin pair
       are never tried;
+    * by pigeonhole, a twin goes only where enough unused targets lie
+      above it for the later twins of its class, which share its options
+      and must each go higher still;
     * a placement is kept only when the placed target columns, in the
       order their sources were placed, have the Hermite form of the placed
       source columns (the form is canonical for unimodular row moves, so a
@@ -666,7 +674,18 @@ def presentations_equivalent(p: CoxPresentation, q: CoxPresentation) -> bool:
     b_sig = _ideal_signature(qw.irrelevant, n)
     if sorted(a_gcds) != sorted(b_gcds) or sorted(a_sig) != sorted(b_sig):
         return False
+    if _component_ranks(pw) != _component_ranks(qw):
+        return False
     return _ColumnSearch(pw, qw, a_gcds, b_gcds, a_sig, b_sig).place(0)
+
+
+def _component_ranks(p: CoxPresentation) -> list[tuple[int, int]]:
+    """Sorted (size, rank of its weight columns) of each ideal component."""
+    rows = p.weights.entries
+    return sorted(
+        (len(c), rank(IntMatrix(tuple(tuple(row[i] for i in c) for row in rows))))
+        for c in p.irrelevant.components
+    )
 
 
 def _twins(ideal: MonomialIdeal, m: IntMatrix) -> list[int | None]:
@@ -698,6 +717,13 @@ class _ColumnSearch:
     (see :func:`presentations_equivalent`).  A complete placement has
     passed it on the whole matrix and on every component, so it is an
     equivalence.  The source prefix forms are computed once per search.
+
+    Twinship is an equivalence relation (a swap conjugated by a swap is a
+    swap), so each class of twins is a chain of nearest earlier twins and
+    ``later[s]`` counts the members after ``s``.  They need that many
+    unused options above ``s``'s target, and the unused options above a
+    target only shrink as the target grows, so ``place`` stops at the
+    first target that leaves too few.
     """
 
     def __init__(
@@ -716,6 +742,10 @@ class _ColumnSearch:
             for s in range(n)
         ]
         self.twin = _twins(pw.irrelevant, a)
+        self.later = [0] * n
+        for s in reversed(range(n)):
+            if self.twin[s] is not None:
+                self.later[self.twin[s]] = self.later[s] + 1
         self.a_forms = [_kernels.hermite([row[: s + 1] for row in a.entries]) for s in range(n)]
         self.b_rows = qw.weights.entries
         # ``closing[s]`` holds the source components whose largest index is
@@ -736,10 +766,11 @@ class _ColumnSearch:
             return True
         twin = self.twin[src]
         floor = -1 if twin is None else self.targets[twin]
-        targets, used = self.targets, self.used
-        for dst in self.options[src]:
-            if used[dst] or dst <= floor:
-                continue
+        targets, used, later = self.targets, self.used, self.later[src]
+        free = [d for d in self.options[src] if d > floor and not used[d]]
+        for k, dst in enumerate(free):
+            if len(free) - k - 1 < later:  # too few unused options above dst
+                break
             targets[src] = dst
             if any(
                 frozenset(targets[i] for i in comp) not in self.b_comps

@@ -403,6 +403,12 @@ def _generators(
     ell(c_j) e_j <= bound * ell(chi)``; ``ell`` is positive off the
     support's boundary line and zero on it, so these prunes leave a finite
     search.
+
+    ``below[j, v]`` lists the recorded solutions whose coordinate ``j`` is
+    ``v > 0``, each appended once when it is recorded.  A candidate ``y =
+    x + e_j`` comes from an ``x`` that is no solution and lies above none,
+    so a solution below ``y`` has ``y[j]`` at ``j``: the dominance check
+    reads ``below[j, y[j]]`` alone.
     """
     lo, hi = sweep.lo, sweep.hi
     ell = (-lo[1], lo[0])
@@ -414,25 +420,28 @@ def _generators(
         raise AssertionError("functional must be nonnegative")
     cap = degree_bound * (ell[0] * target[0] + ell[1] * target[1])
     n = len(sweep.cols)
-    level = {
-        (0,) * j + (1,) + (0,) * (n - j): (c, v)
-        for j, (c, v) in enumerate(zip(cols, values))
-    }
+    steps = [(j, c0, c1, v) for j, ((c0, c1), v) in enumerate(zip(cols, values))]
+    level = {(0,) * j + (1,) + (0,) * (n - j): (c0, c1, v) for j, c0, c1, v in steps}
     found: list[tuple[int, ...]] = []
+    below: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     while level:
-        found.extend(x for x, (b, _) in level.items() if b == (0, 0))
+        for x, (b0, b1, _) in level.items():
+            if b0 == b1 == 0:
+                found.append(x)
+                for j, e in enumerate(x):
+                    if e:
+                        below.setdefault((j, e), []).append(x)
         grown = {}
-        for x, (b, w) in level.items():
-            for j, (c, v) in enumerate(zip(cols, values)):
-                if b[0] * c[0] + b[1] * c[1] >= 0 or w + v > cap:
+        for x, (b0, b1, w) in level.items():
+            for j, c0, c1, v in steps:
+                if b0 * c0 + b1 * c1 >= 0 or w + v > cap:
                     continue
                 y = (*x[:j], x[j] + 1, *x[j + 1 :])
                 if y[n] > degree_bound or y in grown:
                     continue
-                # x is no solution and lies above none: one below y has y[j] at j
-                if _divides([s for s in found if s[j] == y[j]], y):
+                if _divides(below.get((j, y[j]), ()), y):
                     continue
-                grown[y] = ((b[0] + c[0], b[1] + c[1]), w + v)
+                grown[y] = (b0 + c0, b1 + c1, w + v)
         level = grown
     # reversed (e, m) is (m, reversed e): by level, then by _reversed_key
     found.sort(key=_reversed_key)

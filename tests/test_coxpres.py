@@ -953,6 +953,80 @@ def blow_up_pairs():
     return [(t, reduced), (from_fan, well_form(t)[0])]
 
 
+def relabelled(rng, names, cols, comps):
+    """``cols`` with their names and ideal under a random permutation and
+    a random unimodular row transform."""
+    n, r = len(cols), len(cols[0])
+    perm = list(range(n))
+    rng.shuffle(perm)  # new column i is old column perm[i]
+    inverse = {old: new for new, old in enumerate(perm)}
+    rows = M([[cols[old][i] for old in perm] for i in range(r)])
+    return P([names[old] for old in perm],
+             (M(random_unimodular(rng, r)) @ rows).entries,
+             [[inverse[i] for i in c] for c in comps])
+
+
+def twisted_product(n, seed):
+    """P^n x P^1, a twisted and relabelled copy, and a relabelled copy.
+
+    The family of the benchmark's equivalence instances: ``n + 1`` equal
+    columns ``(1, 0)`` and the component of the ``y`` columns, ``(0, 1)``
+    twice in the product against ``(0, 1)`` and ``(t, 1)``, ``t != 0``, in
+    the twisted copy; that component's columns have rank 1 in one and 2 in
+    the other.
+    """
+    rng = random.Random(f"twisted/{n}/{seed}")
+    twist = rng.choice((-2, -1, 1, 2, 3))
+    names = [f"x{i}" for i in range(n + 1)] + ["y0", "y1"]
+    comps = [list(range(n + 1)), [n + 1, n + 2]]
+    cols = [(1, 0)] * (n + 1) + [(0, 1), (0, 1)]
+    p = P(names, [[c[0] for c in cols], [c[1] for c in cols]], comps)
+    twisted = relabelled(rng, names, cols[:-1] + [(twist, 1)], comps)
+    return p, twisted, relabelled(rng, names, cols, comps)
+
+
+def random_twin_chains(rng):
+    """Small stacky presentation whose columns come in runs of equal ones.
+
+    The first run has 3-6 columns, then up to two more of 1-3, at most 7
+    columns in all (the permutation oracle tries every order); each
+    ideal component holds whole runs, so every run is a chain of twins.
+    """
+    r = rng.randint(1, 3)
+    runs = [rng.randint(3, 6)]
+    while len(runs) < 3 and sum(runs) < 6 and (len(runs) < r or rng.random() < 0.6):
+        runs.append(rng.randint(1 if rng.random() < 0.15 else 2, min(3, 7 - sum(runs))))
+    if len(runs) < r:
+        return random_twin_chains(rng)
+    cols, blocks = [], []
+    for length in runs:
+        col = (0,) * r
+        while not any(col) or col in cols:
+            col = tuple(rng.randint(-2, 2) for _ in range(r))
+        blocks.append(range(len(cols), len(cols) + length))
+        cols += [col] * length
+    perm = list(range(len(cols)))
+    rng.shuffle(perm)  # new column i is old column perm[i]
+    inverse = {old: new for new, old in enumerate(perm)}
+    comps = [
+        sorted(inverse[i] for b in c for i in blocks[b])
+        for c in random_antichain(rng, len(blocks))
+    ]
+    rows = [[cols[old][i] for old in perm] for i in range(r)]
+    if rank(M(rows)) != r:
+        return random_twin_chains(rng)
+    return P([f"v{j}" for j in range(len(cols))], rows, comps, True)
+
+
+def longest_twin_chain(p):
+    """The most twins in one class of ``p``'s well-formed model."""
+    pw, _ = well_form(p)
+    chain = []
+    for twin in coxpres._twins(pw.irrelevant, pw.weights):
+        chain.append(1 if twin is None else chain[twin] + 1)
+    return max(chain)
+
+
 class TestSearchOracles:
     def test_transversals_match_superset_filter(self):
         rng = random.Random(1996)
@@ -1006,7 +1080,7 @@ class TestSearchOracles:
             assert expected[0] == "ok" and got[1][0] == expected[1][0], (p, q)
             assert got[1][1] <= expected[1][1], (p, q)
             nodes += got[1][1]
-        assert nodes == 3324  # 3814 in the reference
+        assert nodes == 3058  # 3814 in the reference
         p, q = product_and_twisted_copy()
         d, e, other = ten_distinct_columns()
         pairs = [(p, q), (p, p), (d, e), (d, other)] + blow_up_pairs()
@@ -1099,3 +1173,65 @@ class TestSearchOracles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+TWISTED_SIZES = pytest.mark.parametrize("n", [10, 14, 18])
+
+
+class TestPrunedEquivalence:
+    """The root invariant and the pigeonhole bound on twins.
+
+    Without them the search placed the ``n + 1`` equal columns of the
+    twisted P^n x P^1 pair in every increasing way before the ``y``
+    component failed: 2^(n+1) + 2 ``place`` calls, about 1 s at n = 16.
+    """
+
+    @TWISTED_SIZES
+    def test_twisted_product_is_rejected_fast(self, n):
+        for seed in range(3):
+            p, twisted, _ = twisted_product(n, seed)
+            start = time.perf_counter()
+            assert presentations_equivalent(p, twisted) is False
+            assert time.perf_counter() - start < 0.5
+
+    @TWISTED_SIZES
+    def test_pigeonhole_alone_keeps_the_search_linear(self, n, monkeypatch):
+        # no root invariant: the search must walk down to the y component
+        monkeypatch.setattr(coxpres, "_component_ranks", lambda p: [])
+        for seed in range(3):
+            p, twisted, _ = twisted_product(n, seed)
+            assert equivalent_with_nodes(p, twisted) == (False, n + 3)
+
+    @TWISTED_SIZES
+    def test_relabelled_product_is_equivalent(self, n):
+        for seed in range(3):
+            p, _, copy = twisted_product(n, seed)
+            start = time.perf_counter()
+            assert presentations_equivalent(p, copy) is True
+            assert presentations_equivalent(copy, p) is True
+            assert time.perf_counter() - start < 0.5
+
+    def test_root_invariant_reads_component_ranks(self):
+        p, twisted, copy = twisted_product(4, 0)
+        assert coxpres._component_ranks(well_form(p)[0]) == [(2, 1), (5, 1)]
+        assert coxpres._component_ranks(well_form(twisted)[0]) == [(2, 2), (5, 1)]
+        assert coxpres._component_ranks(well_form(copy)[0]) == [(2, 1), (5, 1)]
+
+    def test_twin_chains_match_permutation_backtracking(self):
+        rng = random.Random(2004)
+        seen = {True: 0, False: 0, "rejected": 0, "raised": 0}
+        chains = {3: 0, 4: 0, 5: 0, 6: 0}
+        for _ in range(400):
+            p = random_twin_chains(rng)
+            q = random_partner(rng, p)
+            got = outcome(presentations_equivalent, p, q)
+            assert got == outcome(equivalent_by_permutations, p, q), (p, q)
+            if got[0] != "ok":
+                seen["raised"] += 1
+            elif rejected_before_search(p, q):
+                seen["rejected"] += 1
+            else:
+                seen[got[1]] += 1
+                chains[longest_twin_chain(p)] += 1
+        assert min(seen[k] for k in (True, False, "rejected")) >= 50, seen
+        assert min(chains.values()) >= 20, chains

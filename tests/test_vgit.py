@@ -606,6 +606,40 @@ class TestGeneratorOracle:
             for kind in ("generators", "none", "rejected", "game")
         }, seen
 
+    @pytest.mark.parametrize("bound, expected", [
+        (0, ()), (1, ((2, 1, 0),)), (2, ((2, 1, 0), (1, 0, 0))),
+    ])
+    def test_degree_bound_holds_from_the_unit_vectors(self, bound, expected):
+        # e_n starts at level 1, so a search that checked the bound only
+        # when stepping along e_n would return ((2, 1, 0),) at bound 0
+        p = P("abc", [[-4, 6, 1], [-2, 3, 1]], [(2,), (0, 1)], stacky=True)
+        assert graded_ring_generators(p, (-2, -1), bound) == expected
+        assert oracle_generators(vgit._Sweep(p), (-2, -1), bound) == expected
+
+    def test_game_with_light_off_line_columns(self, monkeypatch):
+        # the completion visits 522 vectors for the 9 generators at (-3, 2)
+        p = P("abcdef", [[-2, 0, -3, 1, -3, 0], [2, 3, 2, 2, -6, 1]],
+              [(0, 4, 5), (1, 2, 3)], stacky=True)
+        start = time.perf_counter()
+        game = two_ray_game(p)
+        assert time.perf_counter() - start < 1.0
+        assert [(end.ray, len(end.target_generators)) for end in game.ends] == [
+            ((0, 1), 2), ((-3, 2), 9)
+        ]
+        with monkeypatch.context() as m:
+            m.setattr(vgit, "_generators", oracle_generators)
+            assert game == two_ray_game(fresh(p))
+
+    def test_generators_with_light_off_line_columns(self):
+        # 1,266 vectors visited for 29 generators
+        p = P("abcdef", [[0, -6, -3, 4, 0, -1], [-2, 3, 1, -2, -2, 0]],
+              [(0, 1, 2, 3, 4, 5)], stacky=True)
+        start = time.perf_counter()
+        gens = graded_ring_generators(p, (0, -3), 3)
+        assert time.perf_counter() - start < 1.0
+        assert len(gens) == 29
+        assert gens == oracle_generators(vgit._Sweep(p), (0, -3), 3)
+
     def test_five_variable_game_is_fast(self):
         # The box search took 35-73 s on this input; the capped search takes ms.
         rows = [[-2, -4, 1, 4, -4], [-2, -4, 1, -1, -4]]
