@@ -5,25 +5,35 @@ These are the hot loops of the lattice layer, three eliminations in all:
 * ``hermite``: row-style Hermite reduction.  It builds no transform; ``hnf``
   gets its unimodular transform by augmentation, reducing ``[rows | I]``
   and splitting the columns, so a caller that needs only the canonical
-  form never pays for the transform.
-* ``smith``: Smith diagonalisation with both transforms.
-* ``_bareiss``: one fraction-free elimination without transforms that
-  gives both the rank and the determinant (Bareiss, Math. Comp. 22, 1968),
-  so a question that needs only the rank never pays for the unimodular
-  transforms of a Smith form.
+  form never pays for the transform.  ``intlattice`` uses both for
+  canonical forms, kernels and inverses; ``coxpres`` uses ``hermite`` for
+  the prefix forms of its equivalence search and ``hnf`` for the row
+  transform of a well-formedness certificate.
+* ``smith``: Smith diagonalisation with both transforms, run only by
+  ``intlattice``.
+* ``_bareiss``: one fraction-free elimination without transforms
+  (Bareiss, Math. Comp. 22, 1968).  It gives ``rank`` and ``det``, so a
+  question that needs only the rank never pays for the unimodular
+  transforms of a Smith form (``intlattice`` is their only caller), and
+  its echelon rows give ``solve``, the coordinates of a vector over
+  independent vectors by integer back-substitution, which ``galefan``
+  uses to place a subdivision ray in a simplicial cone.
 
 They are plain Python and all arithmetic happens on Python ints, so
 results are exact at any operand size.
 
-Matrices cross this boundary as lists of lists of ints; the callers own
-validation and immutable wrapping.
+Matrices cross this boundary as sequences of int rows (lists or tuples),
+which are copied before any work; results are new lists of ints, and
+the callers own validation and immutable wrapping.
 """
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 BACKEND = "python"
 
-__all__ = ["BACKEND", "det", "hermite", "hnf", "rank", "smith"]
+__all__ = ["BACKEND", "det", "hermite", "hnf", "rank", "smith", "solve"]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -208,19 +218,25 @@ def smith(rows: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[
     return diag, u, v
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
+def _bareiss(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free row echelon elimination of ``rows``, without transforms.
 
-    Returns ``(rank, sign, pivot)``: the rank over Q, the sign of the row
-    permutation used, and the last pivot.  A column with no pivot left is
-    skipped, which is Bareiss elimination on the matrix with its pivot
-    columns moved first, so every division stays exact (Sylvester's
-    identity) and the last pivot of a full-rank square matrix is its
-    determinant up to ``sign``.
+    Returns ``(m, pivots, sign, last)``: the echelon rows, the pivot column
+    of each of the first ``len(pivots)`` rows (so the rank over Q is
+    ``len(pivots)``), the sign of the row permutation used, and the last
+    pivot (1 when there is none).  A column with no pivot left is skipped,
+    which is Bareiss elimination on the matrix with its pivot columns moved
+    first, so every division stays exact (Sylvester's identity) and the
+    last pivot of a full-rank square matrix is its determinant up to
+    ``sign``.  Only the entries of row ``i`` from column ``pivots[i]`` on
+    are part of the echelon form; the ones left of it are never cleared.
     """
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
+    pivots: list[int] = []
     rank, sign, prev = 0, 1, 1
     for col in range(nc):
         if rank == nr:
@@ -236,20 +252,57 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
         for i in range(rank + 1, nr):
             row = m[i]
             a = row[col]
+            if a == 0 and pivot == prev:
+                continue  # nothing to clear or rescale (unit rays, say)
             for j in range(col + 1, nc):
                 row[j] = (row[j] * pivot - a * top[j]) // prev
         prev = pivot
+        pivots.append(col)
         rank += 1
-    return rank, sign, prev
+    return m, pivots, sign, prev
 
 
-def rank(rows: list[list[int]]) -> int:
+def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q of an integer matrix (Bareiss elimination)."""
-    return _bareiss(rows)[0]
+    return len(_bareiss(rows)[1])
 
 
-def det(rows: list[list[int]]) -> int:
+def det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(rows)
-    rk, sign, pivot = _bareiss(rows)
-    return sign * pivot if rk == n else 0
+    _, pivots, sign, last = _bareiss(rows)
+    return sign * last if len(pivots) == len(rows) else 0
+
+
+def solve(
+    vectors: Sequence[Sequence[int]], w: Sequence[int]
+) -> Optional[tuple[list[int], int]]:
+    """Rational coordinates of ``w`` over linearly independent ``vectors``.
+
+    Returns ``(y, den)`` with ``den > 0`` and
+    ``w = sum (y_i / den) * vectors[i]``, or ``None`` when ``w`` is outside
+    the span of ``vectors``.  One Bareiss elimination of the columns
+    ``[vectors | w]`` (the vectors and ``w`` written as columns) puts the
+    vectors' pivots on the diagonal; a pivot in the ``w`` column means
+    ``w`` is outside the span.  Otherwise the last pivot ``D`` is a
+    ``k x k`` minor of the vectors, ``D * x`` is integral by Cramer's rule,
+    and back-substitution computes it in integers with exact divisions.
+
+    Raises:
+        ValueError: if ``vectors`` is empty or dependent.
+    """
+    k = len(vectors)
+    m, pivots, _, den = _bareiss(list(zip(*vectors, w)))
+    if k == 0 or len(pivots) < k or pivots[k - 1] != k - 1:
+        raise ValueError("solve needs linearly independent vectors")
+    if len(pivots) > k:
+        return None  # the w column has a pivot: w is outside the span
+    y = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = m[i]
+        acc = den * row[k]
+        for j in range(i + 1, k):
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    if den < 0:
+        return [-v for v in y], -den
+    return y, den

@@ -29,7 +29,7 @@ from .intlattice import (
     _peel_primes,
     _SmithForm,
     _standardisation,
-    rank,
+    rank_of_rows,
     smallest_prime_factor,
 )
 
@@ -681,10 +681,9 @@ def presentations_equivalent(p: CoxPresentation, q: CoxPresentation) -> bool:
 
 def _component_ranks(p: CoxPresentation) -> list[tuple[int, int]]:
     """Sorted (size, rank of its weight columns) of each ideal component."""
-    rows = p.weights.entries
+    columns = p.weights.columns()
     return sorted(
-        (len(c), rank(IntMatrix(tuple(tuple(row[i] for i in c) for row in rows))))
-        for c in p.irrelevant.components
+        (len(c), rank_of_rows([columns[i] for i in c])) for c in p.irrelevant.components
     )
 
 

@@ -33,7 +33,7 @@ from .intlattice import (
     _SmithForm,
     hnf_canonical,
     primitive_vector,
-    rank,
+    rank_of_rows,
 )
 
 __all__ = [
@@ -76,7 +76,7 @@ class Fan:
                 raise InvalidArgumentError(f"ray {ray} is not primitive")
         if len(set(rays)) != len(rays):
             raise InvalidArgumentError("rays must be distinct")
-        if rank(IntMatrix(rays)) != d:
+        if rank_of_rows(rays) != d:
             raise RankError("rays must span the ambient space")
         cones = tuple(tuple(sorted(set(c))) for c in self.max_cones)
         if not cones:
@@ -86,8 +86,7 @@ class Fan:
                 raise InvalidArgumentError("empty maximal cone")
             if cone[0] < 0 or cone[-1] >= len(rays):
                 raise InvalidArgumentError(f"cone {cone} indexes a missing ray")
-            sub = IntMatrix(tuple(rays[i] for i in cone))
-            if rank(sub) != len(cone):
+            if rank_of_rows([rays[i] for i in cone]) != len(cone):
                 raise UnsupportedFeatureError(
                     f"cone {cone} is not simplicial (dependent rays)"
                 )
@@ -122,20 +121,19 @@ def _solve_in_cone(
     ``c_i >= 0``, or ``None`` when ``w`` is outside the cone (including the
     case where ``w`` is not even in its linear span).
 
-    The cone's rays are independent (``Fan`` checks it), so the Hermite form
-    of the rows ``[rays; w]`` ends in a zero row exactly when ``w`` lies in
-    their span; the transform's last row ``lam`` is then the relation
-    ``sum lam_i * ray_i + lam_k * w = 0``, with ``lam_k != 0``.
+    The cone's rays are independent (``Fan`` checks it), so one
+    fraction-free elimination of the columns ``[rays | w]`` decides the span
+    and gives ``c_i = y_i / D`` with integers ``y_i`` and ``D > 0`` (see
+    ``_kernels.solve``).  The signs of the ``y_i`` decide the cone, so
+    fractions are built only when ``w`` lies in it.
     """
-    k = len(cone)
-    h, u = _kernels.hnf([list(rays[i]) for i in cone] + [list(w)])
-    if any(h[k]):
+    solved = _kernels.solve([rays[i] for i in cone], w)
+    if solved is None:
         return None  # w is outside the linear span
-    lam = u[k]
-    coeffs = tuple(Fraction(-lam[i], lam[k]) for i in range(k))
-    if any(c < 0 for c in coeffs):
+    y, den = solved
+    if any(v < 0 for v in y):
         return None
-    return coeffs
+    return tuple(Fraction(v, den) for v in y)
 
 
 # ---------------------------------------------------------------------------

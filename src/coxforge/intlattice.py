@@ -22,7 +22,8 @@ and copies never see it):
   reach it, kept by :func:`coxforge.coxpres.well_form`.
 
 A rank alone needs no Smith form; it comes from a transform-free Bareiss
-elimination.
+elimination, run by :func:`rank_of_rows` on plain int rows (``rank`` of a
+matrix passes it the matrix's rows).
 
 The central notions:
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 from operator import mul
+from typing import Sequence
 
 from coxforge import _kernels
 from coxforge._frozen import frozen
@@ -255,7 +257,17 @@ def smith_transforms(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatri
 
 def rank(m: IntMatrix) -> int:
     """Rank over Q (equivalently the number of nonzero elementary divisors)."""
-    return _kernels.rank(m.to_lists())
+    return rank_of_rows(m.entries)
+
+
+def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of a sequence of equally long rows of Python ints.
+
+    The rows are neither validated nor wrapped in an :class:`IntMatrix`:
+    this is for callers that hold int rows already, such as the cone checks
+    of :class:`coxforge.galefan.Fan`.
+    """
+    return _kernels.rank(rows)
 
 
 def minor_gcd(m: IntMatrix, r: int) -> int:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxforge import _kernels
 from coxforge.coxpres import CoxPresentation, MonomialIdeal, well_form
 from coxforge.errors import (
     InvalidArgumentError,
@@ -358,3 +359,95 @@ class TestSolveInCone:
                 outcomes["off_span"] += 1
             checked += 1
         assert min(outcomes.values()) > 50
+
+    def test_matches_gauss_jordan_oracle_on_large_entries(self):
+        """Entries up to 10^6 in Z^2..Z^8, with short cones and negative pivots.
+
+        The denominator is the last pivot of the elimination, so a cone whose
+        last pivot is negative checks that its sign is carried into the
+        coefficients before they are compared with zero.
+        """
+        rng = random.Random(1970)
+        seen = {
+            "inside": 0, "fractional": 0, "negative": 0, "off_span": 0,
+            "inside_negative_pivot": 0, "short_cone": 0, "dim_8": 0, "huge": 0,
+        }
+        checked = 0
+        while checked < 800:
+            d = rng.randint(2, 8)
+            k = d if rng.random() < 0.3 else rng.randint(1, d)
+            span = rng.choice((10, 10**3, 10**6))
+            rays = [tuple(rng.randint(-span, span) for _ in range(d)) for _ in range(k + 1)]
+            cone = sorted(rng.sample(range(k + 1), k))
+            vectors = [rays[i] for i in cone]
+            if rank(IntMatrix(tuple(vectors))) != k:
+                continue
+            roll = rng.random()
+            if roll < 0.75:
+                lo = (0, 1, -9)[(roll >= 0.4) + (roll >= 0.55)]
+                c = [rng.randint(lo, 9) for _ in cone]
+                w = [sum(ci * v[t] for ci, v in zip(c, vectors)) for t in range(d)]
+                if lo == 1:
+                    # With every coefficient at least 1, a unit step mostly
+                    # stays inside a full cone, with fractional coefficients.
+                    w[rng.randrange(d)] += 1
+                w = tuple(w)
+            else:
+                w = tuple(rng.randint(-span, span) for _ in range(d))
+            if not any(w):
+                continue
+            if rng.random() < 0.5:
+                w = primitive_vector(w)
+            got = _solve_in_cone(rays, cone, w)
+            assert got == gauss_jordan_solve_in_cone(rays, cone, w), (rays, cone, w)
+            last_pivot = _kernels._bareiss([list(col) for col in zip(*vectors)])[3]
+            if got is not None:
+                seen["inside"] += 1
+                seen["fractional"] += any(x.denominator > 1 for x in got)
+                seen["inside_negative_pivot"] += last_pivot < 0
+            elif rank(IntMatrix(tuple(vectors) + (w,))) == k:
+                seen["negative"] += 1
+            else:
+                seen["off_span"] += 1
+            seen["short_cone"] += k < d
+            seen["dim_8"] += d == 8
+            seen["huge"] += span == 10**6
+            checked += 1
+        assert min(seen.values()) >= 40, seen
+
+
+class TestFanWork:
+    """Kernel work of fan validation and star subdivision, on patched counters."""
+
+    @staticmethod
+    def counting(monkeypatch, owner, name, counts):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_fan_ranks_plain_rows_once_per_cone(self, monkeypatch):
+        from test_acceptance import F3
+
+        fan = fan_from_presentation(F3)
+        counts = {}
+        self.counting(monkeypatch, _kernels, "rank", counts)
+        self.counting(monkeypatch, IntMatrix, "__post_init__", counts)
+        again = Fan(fan.lattice_dim, fan.rays, fan.max_cones)
+        assert again == fan and len(fan.max_cones) == 10
+        assert counts == {"rank": len(fan.max_cones) + 1}
+
+    def test_star_subdivision_solves_once_per_cone_without_hermite_forms(self, monkeypatch):
+        from test_acceptance import F3
+
+        fan = fan_from_presentation(F3)
+        counts = {}
+        for name in ("hnf", "hermite", "smith", "solve"):
+            self.counting(monkeypatch, _kernels, name, counts)
+        sub = star_subdivision(fan, (2, 1, 2, 1, 0))
+        assert sub.rays == fan.rays + ((2, 1, 2, 1, 0),)
+        assert len(sub.max_cones) == 14
+        assert counts == {"solve": len(fan.max_cones)}

@@ -11,6 +11,7 @@ from coxforge.errors import OutsideSupportError
 from coxforge.galefan import _solve_in_cone, fan_from_presentation, star_subdivision
 
 from test_acceptance import BLOWUP_SPEC, ELLIPTIC_RAW, F, F2_WF, F3, blow_up_weighted_bundle
+from test_galefan import gauss_jordan_solve_in_cone
 
 
 def _random_matrix(rng, nr, nc, span):
@@ -25,7 +26,7 @@ def _matmul(a, b):
 
 def test_backend_is_reported():
     assert kernels.BACKEND == "python"
-    assert kernels.__all__ == ["BACKEND", "det", "hermite", "hnf", "rank", "smith"]
+    assert kernels.__all__ == ["BACKEND", "det", "hermite", "hnf", "rank", "smith", "solve"]
 
 
 def _check_hnf_postconditions(m):
@@ -275,12 +276,13 @@ def _paper_fans():
     return [fan_from_presentation(p) for p in models]
 
 
-def test_solve_in_cone_and_star_subdivision_agree_with_the_oracle_transform(monkeypatch):
-    """The relation row of ``u`` is Hermite-reduced now; its ratios are not.
+def test_solve_in_cone_and_star_subdivision_agree_with_the_gauss_jordan_oracle(monkeypatch):
+    """Integer back-substitution gives the oracle's fractions and fans.
 
     Every vector ``w`` inside one of the paper's fans (nonnegative
-    combinations of a cone's rays) and a few outside it give the same cone
-    coefficients and the same star subdivision as with the oracle's ``u``.
+    combinations of a cone's rays) and a few outside it give the cone
+    coefficients of the Fraction Gauss-Jordan oracle, and the same star
+    subdivision as with the oracle in place of ``_solve_in_cone``.
     """
     rng = random.Random(2013)
     cases = []
@@ -298,23 +300,23 @@ def test_solve_in_cone_and_star_subdivision_agree_with_the_oracle_transform(monk
         )
         cases += [(fan, w) for w in sorted(vectors) if any(w)]
 
-    def solve_all():
+    def subdivide_all():
         out = []
         for fan, w in cases:
-            coeffs = [_solve_in_cone(fan.rays, cone, w) for cone in fan.max_cones]
             try:
-                sub = star_subdivision(fan, w)
+                out.append(star_subdivision(fan, w))
             except OutsideSupportError:
-                sub = None
-            out.append((coeffs, sub))
+                out.append(None)
         return out
 
-    got = solve_all()
-    monkeypatch.setattr(galefan._kernels, "hnf", hnf_oracle)
-    assert solve_all() == got
+    got = subdivide_all()
+    monkeypatch.setattr(galefan, "_solve_in_cone", gauss_jordan_solve_in_cone)
+    assert subdivide_all() == got
     inside = 0
-    for (fan, w), (coeffs, sub) in zip(cases, got):
-        for cone, c in zip(fan.max_cones, coeffs):
+    for fan, w in cases:
+        for cone in fan.max_cones:
+            c = _solve_in_cone(fan.rays, cone, w)
+            assert c == gauss_jordan_solve_in_cone(fan.rays, cone, w), (fan, cone, w)
             if c is not None:
                 inside += 1
                 assert all(x >= 0 for x in c)
@@ -322,4 +324,61 @@ def test_solve_in_cone_and_star_subdivision_agree_with_the_oracle_transform(monk
                     sum(x * fan.rays[i][t] for x, i in zip(c, cone)) == w[t]
                     for t in range(fan.lattice_dim)
                 )
+    subdivided = sum(sub is not None for sub in got)
     assert len(cases) >= 200 and inside >= 200, (len(cases), inside)
+    assert subdivided >= 200, subdivided
+
+
+# ---------------------------------------------------------------------------
+# coordinates over independent vectors
+
+
+def test_solve_postconditions_on_random_inputs():
+    rng = random.Random(1968)
+    seen = {"inside_span": 0, "off_span": 0, "negative_pivot": 0, "square": 0}
+    checked = 0
+    while checked < 600:
+        d = rng.randint(1, 7)
+        k = rng.randint(1, d)
+        span = rng.choice((1, 9, 10**6))
+        vectors = _random_matrix(rng, k, d, span)
+        if kernels.rank(vectors) < k:
+            continue
+        if rng.random() < 0.6:
+            x = [rng.randint(-span, span) for _ in range(k)]
+            w = [sum(c * v[t] for c, v in zip(x, vectors)) for t in range(d)]
+        else:
+            w = [rng.randint(-span, span) for _ in range(d)]
+        before = ([row[:] for row in vectors], w[:])
+        solved = kernels.solve(vectors, w)
+        assert (vectors, w) == before
+        if solved is None:
+            seen["off_span"] += 1
+            assert kernels.rank(vectors + [w]) == k + 1
+        else:
+            seen["inside_span"] += 1
+            y, den = solved
+            assert den > 0 and len(y) == k
+            assert all(
+                sum(c * v[t] for c, v in zip(y, vectors)) == den * w[t] for t in range(d)
+            )
+        seen["square"] += k == d
+        seen["negative_pivot"] += kernels._bareiss([list(c) for c in zip(*vectors)])[3] < 0
+        checked += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_solve_needs_independent_vectors():
+    # The denominator is the last Bareiss pivot, made positive, not a
+    # reduced one: here it is the determinant 6.
+    assert kernels.solve([[2, 0], [0, 3]], (4, 3)) == ([12, 6], 6)
+    assert kernels.solve([[0, -3]], (0, 1)) == ([-1], 3)
+    assert kernels.solve([[1, 0, 0]], (0, 1, 0)) is None
+    for vectors, w in (
+        ([], []),
+        ([[1, 2], [2, 4]], [1, 2]),
+        ([[0, 0]], [1, 2]),
+        ([[1, 0, 0], [0, 0, 0]], [1, 2, 3]),
+    ):
+        with pytest.raises(ValueError):
+            kernels.solve(vectors, w)
