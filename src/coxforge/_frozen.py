@@ -1,22 +1,29 @@
-"""The one decorator behind the immutable value classes.
+"""The decorators behind the immutable value classes and their kept values.
 
 :func:`frozen` gives a class the methods of a frozen standard-library data
 class: an ``__init__`` taking the fields by position or keyword,
 ``__repr__``, ``__eq__`` and ``__hash__`` over the field tuple,
 ``__match_args__``, and a ``__setattr__``/``__delattr__`` that refuse every
-change.  It imports nothing (the standard module loads :mod:`inspect`) and
-runs one ``exec`` per class, as :func:`collections.namedtuple` does, where
-the standard module runs one per method; a CLI process pays for both.
+change.  It imports only :mod:`functools`, which the interpreter loads at
+start-up (the standard module loads :mod:`inspect`), and runs one ``exec``
+per class, as :func:`collections.namedtuple` does, where the standard
+module runs one per method; a CLI process pays for both.
 
 The fields are the class's own annotations, in order; a class attribute of
 the same name is the field's default.  ``__init__`` calls
 ``self.__post_init__()`` when the class defines it, looking it up at call
 time, so a validator rebound on the class is the one that runs.  A method
-the class body defines itself is kept.  Instances pickle and copy through
-their ``__dict__`` like any object.
+the class body defines itself is kept.  Instances pickle and copy their
+fields only (a generated ``__getstate__``), so a value kept by :func:`kept`
+never reaches a pickle or a copy.
+
+:func:`kept` keeps what a function computes from a value on that value, so
+each invariant of an immutable value is computed once per object.
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 
 def _refuse_setattr(self, name, value):
@@ -43,6 +50,7 @@ def frozen(cls: type) -> type:
     mine = "".join(f"self.{name}," for name in names)
     theirs = "".join(f"other.{name}," for name in names)
     shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    state = "".join(f"{name!r}: self.{name}," for name in names)
     exec("\n".join([
         f"def __init__(self, {', '.join(params)}):",
         *(f"    _setattr(self, {name!r}, {name})" for name in names),
@@ -55,9 +63,14 @@ def frozen(cls: type) -> type:
         "    return NotImplemented",
         "def __hash__(self):",
         f"    return hash(({mine}))",
+        "def __getstate__(self):",
+        f"    return {{{state}}}",
     ]), namespace)
     namespace["__init__"].__annotations__ = {**cls.__annotations__, "return": None}
-    methods = {name: namespace[name] for name in ("__init__", "__repr__", "__eq__", "__hash__")}
+    methods = {
+        name: namespace[name]
+        for name in ("__init__", "__repr__", "__eq__", "__hash__", "__getstate__")
+    }
     for method in methods.values():
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
     methods.update(
@@ -67,3 +80,42 @@ def frozen(cls: type) -> type:
         if name not in own:
             setattr(cls, name, value)
     return cls
+
+
+def kept(name: str):
+    """Keep the result of a one-argument function on its argument.
+
+    ``@kept("_name")`` wraps ``compute(value)`` so that it runs at most once
+    per ``value`` object: the result is stored in ``value.__dict__`` under
+    ``name``, a private attribute that is not a field, and every later call
+    on that object returns it.  ``value`` must be immutable, so the result
+    never goes stale, and the result must be immutable too, as every caller
+    shares it.  The rules:
+
+    * a failure is never kept: a call that raises raises on every call;
+    * a result that is ``value`` itself, or a tuple holding ``value``, is
+      returned but not kept, so no value refers to itself and keeping makes
+      no reference cycle;
+    * ``compute`` never returns ``None``, which reads as nothing kept.
+
+    Fields, ``repr``, ``==``, ``hash``, pickles and copies of a
+    :func:`frozen` value never see what is kept.  A method wraps the same
+    way, keeping on ``self``.
+    """
+
+    def decorate(compute):
+        @wraps(compute)
+        def get(value):
+            result = value.__dict__.get(name)
+            if result is None:
+                result = compute(value)
+                if not (
+                    result is value
+                    or (type(result) is tuple and any(item is value for item in result))
+                ):
+                    value.__dict__[name] = result
+            return result
+
+        return get
+
+    return decorate

@@ -24,7 +24,7 @@ from .galefan import (
     star_subdivision,
     weighted_bundle_fan,
 )
-from .intlattice import IntMatrix, primitive_vector
+from .intlattice import IntMatrix, _as_int, primitive_vector
 
 __all__ = [
     "BlowupSpec",
@@ -60,9 +60,9 @@ class BlowupSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", tuple(self.center))
-        object.__setattr__(self, "fiber_weights", tuple(int(a) for a in self.fiber_weights))
+        object.__setattr__(self, "fiber_weights", tuple(map(_as_int, self.fiber_weights)))
         object.__setattr__(
-            self, "b", tuple(None if x is None else int(x) for x in self.b)
+            self, "b", tuple(None if x is None else _as_int(x) for x in self.b)
         )
         a = self.fiber_weights
         if not a or any(w <= 0 for w in a):
@@ -157,9 +157,9 @@ class Equation:
     order: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "degree", tuple(int(d) for d in self.degree))
+        object.__setattr__(self, "degree", tuple(map(_as_int, self.degree)))
         if self.support is not None:
-            support = tuple(tuple(int(e) for e in mono) for mono in self.support)
+            support = tuple(tuple(map(_as_int, mono)) for mono in self.support)
             if not support:
                 raise InvalidArgumentError("support, when given, must be nonempty")
             if any(e < 0 for mono in support for e in mono):
@@ -307,8 +307,8 @@ def blow_up_wps(
     ``(y, x_0..x_k) ∩ (x_{k+1}..x_n)`` and weights
     ``[[alpha, 0..0, -b_{k+1}..-b_n], [0, a_0..a_n]]``.
     """
-    a = tuple(int(w) for w in a)
-    b = tuple(int(w) for w in b)
+    a = tuple(map(_as_int, a))
+    b = tuple(map(_as_int, b))
     n = len(a) - 1
     if n < 1:
         raise InvalidArgumentError("need at least two weights")
@@ -402,7 +402,7 @@ def pullback_order(
     monomial support along the exceptional divisor: the minimum over
     monomials of the b-weighted exponent sum."""
     spec._require_complete()
-    monos = [tuple(int(e) for e in mono) for mono in support]
+    monos = [tuple(map(_as_int, mono)) for mono in support]
     if not monos:
         raise InvalidArgumentError("support must be nonempty")
     num_vars = len(monos[0])

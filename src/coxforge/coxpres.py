@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Sequence, Union
 
 from . import _kernels
-from ._frozen import frozen
+from ._frozen import frozen, kept
 from .errors import (
     InvalidArgumentError,
     RankError,
@@ -302,10 +302,6 @@ class CoxPresentation:
                 "weights are not well-formed; pass stacky=True for the stack"
             )
 
-    def __getstate__(self) -> dict:
-        # Pickles and copies carry the value alone, never the kept sweep.
-        return {name: getattr(self, name) for name in self.__match_args__}
-
     @property
     def rank(self) -> int:
         return self.weights.rows
@@ -478,6 +474,7 @@ def is_well_formed(a: IntMatrix) -> bool:
     return gcds.count(1) == len(gcds)
 
 
+@kept("_well_formed")
 def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
     """Drive ``m`` to its canonical standard well-formed model.
 
@@ -497,9 +494,6 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
     own model keeps nothing, and a failure is not kept: a column whose
     deletion drops the rank raises on every call.
     """
-    kept = vars(m).get("_well_formed")
-    if kept is not None:
-        return kept
     r = m.rows
     steps: list[Step] = []
 
@@ -536,10 +530,7 @@ def _well_form_matrix(m: IntMatrix) -> tuple[IntMatrix, tuple[Step, ...]]:
         raise AssertionError("well-forming postcondition")
     if _replay(m, steps) != work:
         raise AssertionError("well-forming certificate must replay to the model")
-    kept = (work, tuple(steps))
-    if steps:
-        object.__setattr__(m, "_well_formed", kept)
-    return kept
+    return work, tuple(steps)
 
 
 def well_form(p: CoxPresentation) -> tuple[CoxPresentation, WellFormingCertificate]:

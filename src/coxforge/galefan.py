@@ -14,7 +14,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import _kernels
-from ._frozen import frozen
+from ._frozen import frozen, kept
 from .coxpres import (
     CoxPresentation,
     MonomialIdeal,
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .intlattice import (
     IntMatrix,
+    _as_int,
     _SmithForm,
     hnf_canonical,
     primitive_vector,
@@ -54,7 +55,13 @@ __all__ = [
 
 @frozen
 class Fan:
-    """Simplicial fan: primitive rays plus maximal cones as ray-index sets."""
+    """Simplicial fan: primitive rays plus maximal cones as ray-index sets.
+
+    The constructor runs every check below.  The fans that
+    :func:`weighted_bundle_fan` and :func:`star_subdivision` derive are
+    simplicial fans by construction, and :func:`_proven_fan` builds them
+    without the rank checks; each caller gives the proof.
+    """
 
     lattice_dim: int
     rays: tuple[tuple[int, ...], ...]
@@ -64,7 +71,7 @@ class Fan:
         d = self.lattice_dim
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise InvalidArgumentError("lattice dimension must be a positive integer")
-        rays = tuple(tuple(map(int, ray)) for ray in self.rays)
+        rays = tuple(tuple(map(_as_int, ray)) for ray in self.rays)
         if not rays:
             raise InvalidArgumentError("a fan needs at least one ray")
         for ray in rays:
@@ -90,14 +97,7 @@ class Fan:
                 raise UnsupportedFeatureError(
                     f"cone {cone} is not simplicial (dependent rays)"
                 )
-        as_sets = [set(c) for c in cones]
-        for i, a in enumerate(as_sets):
-            for j, b in enumerate(as_sets):
-                if i != j and a <= b:
-                    raise InvalidArgumentError(
-                        f"maximal cones must form an antichain: {cones[i]} lies "
-                        f"inside {cones[j]}"
-                    )
+        _require_antichain(cones)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
 
@@ -108,6 +108,34 @@ class Fan:
     def ray_matrix(self) -> IntMatrix:
         """Rays as rows, one per variable of the associated Cox ring."""
         return IntMatrix(self.rays)
+
+
+def _require_antichain(cones: Sequence[tuple[int, ...]]) -> None:
+    as_sets = [set(c) for c in cones]
+    for i, a in enumerate(as_sets):
+        for j, b in enumerate(as_sets):
+            if i != j and a <= b:
+                raise InvalidArgumentError(
+                    f"maximal cones must form an antichain: {cones[i]} lies "
+                    f"inside {cones[j]}"
+                )
+
+
+def _proven_fan(
+    lattice_dim: int,
+    rays: tuple[tuple[int, ...], ...],
+    max_cones: tuple[tuple[int, ...], ...],
+) -> Fan:
+    """A fan whose checks its caller has proven, built without running them.
+
+    The value is built as unpickling builds it, with no ``__init__`` and no
+    ``__post_init__``.  The fields must already be in the form ``Fan``
+    stores: rays as int tuples, each cone a sorted tuple of distinct
+    indices.
+    """
+    fan = object.__new__(Fan)
+    vars(fan).update(lattice_dim=lattice_dim, rays=rays, max_cones=max_cones)
+    return fan
 
 
 def _solve_in_cone(
@@ -121,10 +149,12 @@ def _solve_in_cone(
     ``c_i >= 0``, or ``None`` when ``w`` is outside the cone (including the
     case where ``w`` is not even in its linear span).
 
-    The cone's rays are independent (``Fan`` checks it), so one
-    fraction-free elimination of the columns ``[rays | w]`` decides the span
-    and gives ``c_i = y_i / D`` with integers ``y_i`` and ``D > 0`` (see
-    ``_kernels.solve``).  The signs of the ``y_i`` decide the cone, so
+    The cone's rays are independent: the ``Fan`` constructor checks it for
+    a fan it is given, and :func:`weighted_bundle_fan` and
+    :func:`star_subdivision` prove it for the fans they build.  So one
+    fraction-free elimination of the columns ``[rays | w]`` decides the
+    span and gives ``c_i = y_i / D`` with integers ``y_i`` and ``D > 0``
+    (see ``_kernels.solve``).  The signs of the ``y_i`` decide the cone, so
     fractions are built only when ``w`` lies in it.
     """
     solved = _kernels.solve([rays[i] for i in cone], w)
@@ -206,14 +236,14 @@ class WeightedBundleSpec:
             raise InvalidArgumentError("base dimension n must be a positive integer")
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
             raise InvalidArgumentError("fiber index m must be a nonnegative integer")
-        omega = tuple(int(w) for w in self.omega)
+        omega = tuple(map(_as_int, self.omega))
         if len(omega) != self.m + 1:
             raise InvalidArgumentError(
                 f"need {self.m + 1} twists omega_0..omega_{self.m}, got {len(omega)}"
             )
         if any(w < 0 for w in omega):
             raise InvalidArgumentError("twists must be nonnegative")
-        a = tuple(int(x) for x in self.a)
+        a = tuple(map(_as_int, self.a))
         if len(a) == self.m + 1:
             if a[0] != 1:
                 raise InvalidArgumentError("a_0 must be 1 when passing the full tuple")
@@ -290,7 +320,16 @@ def weighted_bundle_fan(spec: WeightedBundleSpec) -> tuple[Fan, CoxPresentation]
         for r in range(n + 1)
         for s in range(m + 1)
     )
-    fan = Fan(d, rays, cones)
+    # A simplicial fan by construction: alpha_1..alpha_n and beta_1..beta_m
+    # are the unit vectors, alpha_0 has -1 in every base coordinate, and
+    # beta_0 is -(a_1..a_m) on the fiber coordinates and 0 on the base ones.
+    # So the rays are distinct, span Z^d and are primitive (beta_0 because a
+    # well-formed (1, a) has gcd(a_1..a_m) = 1).  Each cone omits one alpha
+    # and one beta.  Its betas vanish on the base coordinates, where its
+    # alphas are independent, and its betas are independent on the fiber
+    # coordinates, so its rays are block-triangular and independent.  The
+    # cones are distinct and of one size, so they form an antichain.
+    fan = _proven_fan(d, rays, cones)
 
     weights = IntMatrix(
         (
@@ -328,11 +367,15 @@ def irrelevant_ideal_from_fan(fan: Fan) -> MonomialIdeal:
     return MonomialIdeal(minimal_transversals(complements))
 
 
+@kept("_fan")
 def fan_from_presentation(p: CoxPresentation) -> Fan:
     """Fan whose Cox data reproduces the presentation.
 
     Rays are the Gale dual rows of the weights; maximal cones are the
     complements of the minimal monomial generators of the irrelevant ideal.
+    The checked fan is kept on ``p``, in the private attribute ``_fan``, so
+    it is built and validated once per presentation object; a failure is
+    not kept.
 
     Raises:
         UnsupportedFeatureError: when some cone would be non-simplicial, or
@@ -374,7 +417,7 @@ def star_subdivision(fan: Fan, w: Sequence[int]) -> Fan:
     Raises:
         OutsideSupportError: if ``w`` lies in no maximal cone.
     """
-    vec = tuple(int(e) for e in w)
+    vec = tuple(map(_as_int, w))
     if len(vec) != fan.lattice_dim:
         raise InvalidArgumentError(
             f"vector {vec} does not live in Z^{fan.lattice_dim}"
@@ -405,8 +448,12 @@ def star_subdivision(fan: Fan, w: Sequence[int]) -> Fan:
                     sorted([i for i in cone if i != cone[pos]] + [new_index])
                 )
                 new_cones.add(replaced)
-    return Fan(
-        fan.lattice_dim,
-        fan.rays + (vec,),
-        tuple(untouched) + tuple(sorted(new_cones)),
-    )
+    cones = tuple(untouched) + tuple(sorted(new_cones))
+    # A simplicial fan's checks hold by construction (Cox, Little & Schenck,
+    # Toric Varieties, sections 3.3 and 11.1): ``vec`` is primitive and not already a
+    # ray, and the old rays span.  An untouched cone was checked in ``fan``.
+    # A new cone swaps out a ray whose coefficient in ``vec`` is positive,
+    # so its rays stay independent.  Only the antichain is checked: on an
+    # input that is not a fan, two of the cones can still nest.
+    _require_antichain(cones)
+    return _proven_fan(fan.lattice_dim, fan.rays + (vec,), cones)

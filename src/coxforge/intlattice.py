@@ -9,12 +9,12 @@ delegated to :mod:`coxforge._kernels`.
 An ``IntMatrix`` is frozen, so what is computed from it never goes stale,
 and three invariants are kept on the matrix object once computed, each in
 a private attribute that is not a field (hashes, reprs, equality, pickles
-and copies never see it):
+and copies never see it), under the rules of :func:`coxforge._frozen.kept`:
 
 * ``_smith_form``: its Smith form.  The first question that needs it
   (standardness, minor gcds, Gale-row gcds, kernel) computes it, and every
   later question of that object reads it; the form in turn keeps its
-  Gale-row gcds.
+  Gale-row gcds and its kernel basis.
 * ``_standardisation``: its standard factor and the primes peeled to reach
   it, shared by :func:`standardize` and the first phase of
   :func:`coxforge.coxpres.well_form`.
@@ -48,12 +48,25 @@ from operator import mul
 from typing import Sequence
 
 from coxforge import _kernels
-from coxforge._frozen import frozen
+from coxforge._frozen import frozen, kept
 from coxforge.errors import (
     InvalidArgumentError,
     MustStandardizeFirstError,
     RankError,
 )
+
+
+def _as_int(x) -> int:
+    """``int(x)`` for user input, refusing a number that is not integral.
+
+    ``int`` truncates ``1.5`` to ``1``; this raises the error that
+    :class:`IntMatrix` gives for such an entry.  An integral number (``2.0``,
+    ``True``) and a string ``int`` parses still coerce.
+    """
+    value = int(x)
+    if value != x and not isinstance(x, str):
+        raise InvalidArgumentError(f"non-integer entry {x!r}")
+    return value
 
 
 @frozen
@@ -105,11 +118,6 @@ class IntMatrix:
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.entries))
-
-    def __getstate__(self) -> dict:
-        # Pickles and copies carry the value alone, never the kept Smith
-        # form, standardisation or well-formed model.
-        return {"entries": self.entries}
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -186,29 +194,22 @@ class _SmithForm:
     ``diag`` holds the elementary divisors and ``v`` the column transform of
     ``u @ m @ v = diag`` (``u`` is dropped), so the columns of ``v`` past the
     rank span the integer kernel of ``m``.  :meth:`of` keeps the form on the
-    matrix it came from, in the private attribute ``_smith_form``; the
-    matrix is frozen, so the form never goes stale.  In the same way
-    :meth:`gale_row_gcds` keeps its tuple on the form, in
-    ``_gale_row_gcds``, so each presentation built on the matrix reads its
-    well-formedness without walking ``v`` again.  The other memos on a
-    matrix are its ``_standardisation`` (:func:`_standardisation`) and its
-    ``_well_formed`` model (:func:`coxforge.coxpres.well_form`).  No memo
-    is a field: hashes, reprs, equality and pickles of the matrix never see
-    them.
+    matrix it came from, in the private attribute ``_smith_form``.  In the
+    same way the form keeps its :meth:`gale_row_gcds`, so each presentation
+    built on the matrix reads its well-formedness without walking ``v``
+    again, and its :meth:`kernel_basis`, so a Gale dual asked twice runs
+    one Hermite elimination.  Each is kept by :func:`coxforge._frozen.kept`.
     """
 
     rows: int
     diag: tuple[int, ...]
     v: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def of(cls, m: IntMatrix) -> "_SmithForm":
-        form = vars(m).get("_smith_form")
-        if form is None:
-            diag, _, v = _kernels.smith(m.to_lists())
-            form = cls(m.rows, tuple(diag), tuple(map(tuple, v)))
-            object.__setattr__(m, "_smith_form", form)
-        return form
+    @staticmethod
+    @kept("_smith_form")
+    def of(m: IntMatrix) -> "_SmithForm":
+        diag, _, v = _kernels.smith(m.to_lists())
+        return _SmithForm(m.rows, tuple(diag), tuple(map(tuple, v)))
 
     @property
     def rank(self) -> int:
@@ -222,19 +223,18 @@ class _SmithForm:
         if not self.is_standard:
             raise MustStandardizeFirstError(f"{what} is not standard; run standardize first")
 
+    @kept("_gale_row_gcds")
     def gale_row_gcds(self) -> tuple[int, ...]:
         """Per column ``k``: minor gcd of the standard matrix less ``k`` (0 if rank drops).
 
         These are the gcds of the Gale dual rows, computed at most once per
         form and kept on it.
         """
-        gcds = vars(self).get("_gale_row_gcds")
-        if gcds is None:
-            gcds = tuple(gcd(*row[self.rows :]) for row in self.v)
-            object.__setattr__(self, "_gale_row_gcds", gcds)
-        return gcds
+        return tuple(gcd(*row[self.rows :]) for row in self.v)
 
+    @kept("_kernel_basis")
     def kernel_basis(self) -> IntMatrix:
+        """Hermite-normalised basis of the kernel, one column per free direction."""
         rk, n = self.rank, len(self.v)
         # Column-style Hermite of the kernel columns: row-style on their transpose.
         h = _kernels.hermite(list(zip(*self.v))[rk:])
@@ -535,6 +535,7 @@ def _peel_primes(
     return work, peeled
 
 
+@kept("_standardisation")
 def _standardisation(
     m: IntMatrix,
 ) -> tuple[IntMatrix, tuple[tuple[int, UnimodularWitness | None], ...]]:
@@ -551,20 +552,16 @@ def _standardisation(
     Raises:
         RankError: if ``m`` does not have full row rank.
     """
-    kept = vars(m).get("_standardisation")
-    if kept is None:
-        r = m.rows
-        form = _SmithForm.of(m)
-        if form.rank < r:
-            raise RankError("standardize needs full row rank")
-        if form.is_standard:
-            return m, ()
-        work, peeled = _peel_primes(m, prod(form.diag[:r]))
-        if not _SmithForm.of(work).is_standard:
-            raise AssertionError("standardize must end on a standard matrix")
-        kept = (work, tuple(peeled))
-        object.__setattr__(m, "_standardisation", kept)
-    return kept
+    r = m.rows
+    form = _SmithForm.of(m)
+    if form.rank < r:
+        raise RankError("standardize needs full row rank")
+    if form.is_standard:
+        return m, ()
+    work, peeled = _peel_primes(m, prod(form.diag[:r]))
+    if not _SmithForm.of(work).is_standard:
+        raise AssertionError("standardize must end on a standard matrix")
+    return work, tuple(peeled)
 
 
 def standardize_with_steps(

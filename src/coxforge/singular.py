@@ -13,6 +13,7 @@ from math import gcd
 from ._frozen import frozen
 from .errors import InvalidArgumentError, UnsupportedFeatureError
 from .galefan import WeightedBundleSpec
+from .intlattice import _as_int
 
 __all__ = [
     "QuotientSingularity",
@@ -72,7 +73,7 @@ class ChartReport:
         i, j = self.chart
         if i < 0 or j < 0:
             raise InvalidArgumentError("chart indices must be nonnegative")
-        object.__setattr__(self, "chart", (int(i), int(j)))
+        object.__setattr__(self, "chart", (_as_int(i), _as_int(j)))
 
 
 def normalize_type(q: QuotientSingularity) -> QuotientSingularity:

@@ -13,14 +13,14 @@ from __future__ import annotations
 from functools import cmp_to_key
 from typing import Optional, Sequence
 
-from ._frozen import frozen
+from ._frozen import frozen, kept
 from .coxpres import CoxPresentation, MonomialIdeal
 from .errors import (
     InvalidArgumentError,
     NotQuasiProjectiveError,
     UnsupportedFeatureError,
 )
-from .intlattice import primitive_vector
+from .intlattice import _as_int, primitive_vector
 
 __all__ = [
     "Chamber",
@@ -306,6 +306,7 @@ class _Sweep:
         return self.walls[s[1]], self.walls[s[-2]]
 
 
+@kept("_sweep")
 def _sweep_of(p: CoxPresentation) -> _Sweep:
     """The sweep of ``p``, kept on ``p`` in the private attribute ``_sweep``.
 
@@ -313,11 +314,7 @@ def _sweep_of(p: CoxPresentation) -> _Sweep:
     copies of ``p`` never see it.  A failure is not kept: rank other than
     2, or columns spanning the whole plane, raise on every call.
     """
-    sweep = vars(p).get("_sweep")
-    if sweep is None:
-        sweep = _Sweep(p)
-        object.__setattr__(p, "_sweep", sweep)
-    return sweep
+    return _Sweep(p)
 
 
 def chambers_rank2(
@@ -469,7 +466,7 @@ def graded_ring_generators(
         raise InvalidArgumentError(
             f"character {tuple(chi)} does not match rank {p.rank}"
         )
-    target = (int(chi[0]), int(chi[1]))
+    target = (_as_int(chi[0]), _as_int(chi[1]))
     _check_level(target, degree_bound)
     return _generators(_sweep_of(p), target, degree_bound)
 
@@ -556,7 +553,7 @@ def anticanonical_in_moving_interior(
     For rank 1 the moving cone is the positive span of the (necessarily
     same-sign) weights, so the test is a sign check.
     """
-    degs = [tuple(int(x) for x in d) for d in equation_degrees]
+    degs = [tuple(map(_as_int, d)) for d in equation_degrees]
     for d in degs:
         if len(d) != p.rank:
             raise InvalidArgumentError(

@@ -9,6 +9,7 @@ on values taken from the paper's computations.
 """
 
 import copy
+import gc
 import dataclasses
 import inspect
 import itertools
@@ -225,3 +226,105 @@ def test_constructor_calls_the_post_init_bound_on_the_class(cls, samples, monkey
         # is never called.
         monkeypatch.setattr(cls, "__post_init__", calls.append, raising=False)
         assert repr(cls(*args)) == repr(value) and calls == []
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_pickles_and_copies_carry_the_fields_only(cls, samples):
+    assert vars(cls)["__getstate__"].__code__.co_filename == "<string>"  # generated
+    for value in samples[cls]:
+        vars(value)["_extra"] = object()  # what ``kept`` stores, by hand
+        try:
+            assert value.__getstate__() == {n: getattr(value, n) for n in FIELDS[cls]}
+            for again in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                          copy.deepcopy(value)):
+                assert list(vars(again)) == list(FIELDS[cls])
+        finally:
+            del vars(value)["_extra"]
+
+
+# ---------------------------------------------------------------------------
+# the kept-value helper
+
+
+@_frozen.frozen
+class Box:
+    content: tuple
+
+
+class TestKept:
+    """The rules of ``_frozen.kept``, once; the sites keep their own tests."""
+
+    @staticmethod
+    def keeper(result):
+        """A kept function returning ``result(value)``, and its calls."""
+        calls = []
+
+        @_frozen.kept("_result")
+        def compute(value):
+            """What is kept."""
+            calls.append(value)
+            return result(value)
+
+        return compute, calls
+
+    def test_computed_once_per_object_and_shared(self):
+        compute, calls = self.keeper(lambda box: (len(box.content),))
+        box = Box((1, 2))
+        first = compute(box)
+        assert compute(box) is first and vars(box)["_result"] is first
+        assert calls == [box]
+        twin = Box((1, 2))  # an equal value is another object
+        assert compute(twin) == first and calls == [box, twin]
+        assert compute.__name__ == "compute" and compute.__doc__ == "What is kept."
+
+    def test_value_semantics_ignore_what_is_kept(self):
+        compute, _ = self.keeper(lambda box: (box.content[0],))
+        box = Box((7,))
+        before = (hash(box), repr(box), pickle.dumps(box), box == Box((7,)))
+        compute(box)
+        assert "_result" in vars(box)
+        assert (hash(box), repr(box), pickle.dumps(box), box == Box((7,))) == before
+        for twin in (pickle.loads(pickle.dumps(box)), copy.copy(box), copy.deepcopy(box)):
+            assert twin == box and "_result" not in vars(twin)
+
+    def test_a_failure_is_never_kept(self):
+        def fail(box):
+            raise ValueError(f"no {box.content}")
+
+        compute, calls = self.keeper(fail)
+        box = Box(())
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"no \(\)"):
+                compute(box)
+        assert len(calls) == 3 and "_result" not in vars(box)
+
+    @pytest.mark.parametrize(
+        "result", [lambda box: box, lambda box: (box, ()), lambda box: ((), box)],
+        ids=["itself", "first-item", "last-item"],
+    )
+    def test_a_result_holding_the_value_is_not_kept(self, result):
+        compute, calls = self.keeper(result)
+        box = Box((1,))
+        assert compute(box) == result(box) and compute(box) == result(box)
+        assert len(calls) == 2 and "_result" not in vars(box)
+        gc.collect()
+        gc.disable()
+        try:
+            del box
+            assert gc.collect() == 0  # no reference cycle was made
+        finally:
+            gc.enable()
+
+    def test_a_method_keeps_on_self(self):
+        @_frozen.frozen
+        class Pair:
+            left: int
+            right: int
+
+            @_frozen.kept("_total")
+            def total(self):
+                return self.left + self.right
+
+        pair = Pair(2, 3)
+        assert pair.total() == 5 and vars(pair)["_total"] == 5
+        assert pair == Pair(2, 3) and repr(pair).endswith("Pair(left=2, right=3)")

@@ -1,5 +1,10 @@
 """Gale duality, fans, weighted bundles, and star subdivision."""
 
+import copy
+import importlib.util
+import itertools
+import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -451,3 +456,249 @@ class TestFanWork:
         assert sub.rays == fan.rays + ((2, 1, 2, 1, 0),)
         assert len(sub.max_cones) == 14
         assert counts == {"solve": len(fan.max_cones)}
+
+
+# ---------------------------------------------------------------------------
+# derived fans against the public constructor
+
+
+def reference_star_subdivision(fan, w):
+    """Star subdivision building its result through ``Fan(...)``, which
+    runs every check: the oracle for the fans ``star_subdivision`` builds
+    without the rank checks."""
+    vec = tuple(int(e) for e in w)
+    if len(vec) != fan.lattice_dim:
+        raise InvalidArgumentError(f"vector {vec} does not live in Z^{fan.lattice_dim}")
+    if all(e == 0 for e in vec):
+        raise InvalidArgumentError("cannot subdivide at the origin")
+    vec = primitive_vector(vec)
+    if vec in fan.rays:
+        return fan
+    containing, untouched = [], []
+    for cone in fan.max_cones:
+        coeffs = _solve_in_cone(fan.rays, cone, vec)
+        if coeffs is None:
+            untouched.append(cone)
+        else:
+            containing.append((cone, coeffs))
+    if not containing:
+        raise OutsideSupportError(f"{vec} lies outside the support of the fan")
+    new_cones = {
+        tuple(sorted([i for i in cone if i != cone[pos]] + [fan.num_rays]))
+        for cone, coeffs in containing
+        for pos, c in enumerate(coeffs)
+        if c > 0
+    }
+    return Fan(fan.lattice_dim, fan.rays + (vec,), tuple(untouched) + tuple(sorted(new_cones)))
+
+
+def fan_outcome(f, *args):
+    """``("ok", fan, its attributes)`` or ``(error class, message)``."""
+    try:
+        fan = f(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is the result
+        return type(exc), str(exc)
+    return "ok", fan, list(vars(fan).items())
+
+
+def rebuilt(fan):
+    """``fan`` built again through the public constructor."""
+    return Fan(fan.lattice_dim, fan.rays, fan.max_cones)
+
+
+def random_bundle_spec(rng):
+    while True:
+        m = rng.randint(1, 5)
+        a = (1,) + tuple(rng.randint(1, 4) for _ in range(m))
+        try:
+            return WeightedBundleSpec(
+                rng.randint(1, 3), m, tuple(rng.randint(0, 3) for _ in range(m + 1)), a
+            )
+        except InvalidArgumentError:
+            continue  # (1, a) not well-formed
+
+
+# Inputs that pass every check of ``Fan`` but are not fans.  In the first
+# the cone on (1,0), (1,1) lies inside the cone on (1,0), (0,1).  In the
+# second the cone on e1, e2 + e3 lies inside the cone on e1, e2, e3, so a
+# vector inside both subdivides them into two nested cones.
+NOT_FANS = (
+    Fan(2, ((1, 0), (0, 1), (1, 1), (-1, -1)), ((0, 1), (0, 2), (1, 3))),
+    Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)), ((0, 3), (0, 1, 2))),
+)
+
+
+class TestDerivedFans:
+    """Bundle fans and subdivisions skip the rank checks; they must lose nothing."""
+
+    def test_bundle_fans_and_subdivisions_equal_the_checked_fans(self):
+        rng = random.Random(20261020)
+        seen = {"subdivided": 0, "ray": 0, "origin": 0, "twice": 0}
+        for _ in range(120):
+            fan, _ = weighted_bundle_fan(random_bundle_spec(rng))
+            checked = rebuilt(fan)
+            assert fan == checked and list(vars(fan).items()) == list(vars(checked).items())
+            for _ in range(3):
+                w = tuple(rng.randint(-2, 2) for _ in range(fan.lattice_dim))
+                if rng.random() < 0.1:
+                    w = tuple(2 * x for x in rng.choice(fan.rays))  # a ray, not primitive
+                elif rng.random() < 0.05:
+                    w = (0,) * fan.lattice_dim
+                got = fan_outcome(star_subdivision, fan, w)
+                assert got == fan_outcome(reference_star_subdivision, fan, w), (fan, w)
+                if got[0] != "ok":
+                    seen["origin"] += 1
+                    continue
+                sub = got[1]
+                if sub is fan:
+                    seen["ray"] += 1
+                    continue
+                seen["subdivided"] += 1
+                assert got == fan_outcome(rebuilt, sub)
+                # a derived fan subdivided again
+                v = tuple(rng.randint(-3, 3) for _ in range(fan.lattice_dim))
+                again = fan_outcome(star_subdivision, sub, v)
+                assert again == fan_outcome(reference_star_subdivision, sub, v), (sub, v)
+                if again[0] == "ok" and again[1] is not sub:
+                    seen["twice"] += 1
+                    assert again == fan_outcome(rebuilt, again[1])
+        assert min(seen.values()) >= 10 and seen["subdivided"] >= 200, seen
+
+    @pytest.mark.parametrize("fan", NOT_FANS, ids=["overlap", "nested"])
+    def test_errors_match_the_checked_construction_on_non_fans(self, fan):
+        kinds = set()
+        for w in itertools.product(range(-2, 3), repeat=fan.lattice_dim):
+            got = fan_outcome(star_subdivision, fan, w)
+            assert got == fan_outcome(reference_star_subdivision, fan, w), w
+            kinds.add(got[0])
+        assert "ok" in kinds and InvalidArgumentError in kinds
+
+    def test_antichain_error_on_a_nested_subdivision(self):
+        with pytest.raises(
+            InvalidArgumentError,
+            match=r"maximal cones must form an antichain: \(0, 4\) lies inside \(0, 1, 4\)",
+        ):
+            star_subdivision(NOT_FANS[1], (1, 1, 1))
+
+    def test_errors_match_on_fans_that_are_not_complete(self):
+        fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)), ((0, 1, 2), (1, 3)))
+        kinds = set()
+        for w in [*itertools.product(range(-1, 2), repeat=3), (1, 1), (1, 1, 1, 1)]:
+            got = fan_outcome(star_subdivision, fan, w)
+            assert got == fan_outcome(reference_star_subdivision, fan, w), w
+            kinds.add(got[0])
+        assert kinds == {"ok", InvalidArgumentError, OutsideSupportError}
+
+    def test_derived_fans_run_no_validation(self, monkeypatch):
+        spec = WeightedBundleSpec(1, 4, (0, 1, 2, 3, 3), (1, 2, 3, 1, 1))
+        counts = {}
+        TestFanWork.counting(monkeypatch, Fan, "__post_init__", counts)
+        TestFanWork.counting(monkeypatch, _kernels, "rank", counts)
+        fan, _ = weighted_bundle_fan(spec)
+        star_subdivision(fan, (2, 1, 2, 1, 0))
+        assert counts == {}
+
+
+# ---------------------------------------------------------------------------
+# the fan kept on its presentation
+
+
+def fresh(p):
+    """An equal presentation on a new weight matrix, with nothing kept."""
+    return CoxPresentation(p.variables, M(p.weights.entries), p.irrelevant, p.stacky)
+
+
+class TestFanKeptOnThePresentation:
+    def test_second_call_returns_the_same_fan(self, monkeypatch):
+        from test_acceptance import F3
+
+        p = fresh(F3)
+        counts = {}
+        TestFanWork.counting(monkeypatch, Fan, "__post_init__", counts)
+        fan = fan_from_presentation(p)
+        assert fan_from_presentation(p) is fan and vars(p)["_fan"] is fan
+        assert counts == {"__post_init__": 1}
+        other = fan_from_presentation(fresh(F3))  # an equal value is another object
+        assert other == fan and other is not fan and counts == {"__post_init__": 2}
+
+    @pytest.mark.parametrize(
+        "p, error, message",
+        [
+            (CoxPresentation(F2_WF.variables, M([[3, 3, 3, 0, -2], [1, 1, 1, 2, 0]]),
+                             F2_WF.irrelevant, True),
+             MustStandardizeFirstError, "weight matrix is not standard"),
+            (CoxPresentation(("x", "y", "z"), M([[1, 2, 2]]), MonomialIdeal(((0, 1, 2),)), True),
+             InvalidArgumentError, "presentation must be well-formed"),
+            (CoxPresentation(("u", "x", "t", "s", "y", "z", "w"),
+                             M([[0, 1, 1, 1, 2, 3, 0], [1, 1, 0, 0, 0, -1, -1]]),
+                             MonomialIdeal(((0, 1, 2, 3, 4), (5, 6)))),
+             UnsupportedFeatureError, "is not simplicial"),
+            (CoxPresentation(("x", "y", "z"), M([[1, 1, 1]]), MonomialIdeal(((0,), (1,), (2,)))),
+             UnsupportedFeatureError, "uses every variable"),
+        ],
+        ids=["not-standard", "not-well-formed", "not-simplicial", "no-cone"],
+    )
+    def test_a_failure_raises_on_every_call_and_keeps_nothing(self, p, error, message):
+        for _ in range(3):
+            with pytest.raises(error, match=message):
+                fan_from_presentation(p)
+        assert "_fan" not in vars(p)
+
+    def test_value_semantics_ignore_the_kept_fan(self):
+        from test_acceptance import F3
+
+        p = fresh(F3)
+        before = (hash(p), repr(p), p == fresh(F3), pickle.dumps(p))
+        fan = fan_from_presentation(p)
+        assert "_fan" in vars(p)
+        assert (hash(p), repr(p), p == fresh(F3), pickle.dumps(p)) == before
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert twin == p and p == twin and "_fan" not in vars(twin)
+            assert fan_from_presentation(twin) == fan
+        assert not any(value is p for value in vars(fan).values())
+
+
+# ---------------------------------------------------------------------------
+# validation work of a `paper` benchmark pass
+
+
+def load_paper_workload():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "paper.py")
+    spec = importlib.util.spec_from_file_location("perfbench_paper", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPaperPassValidatesEachFanOnce:
+    """Counts of one pass of the benchmark's ``paper`` workload.
+
+    Only ``fan_from_presentation`` validates a fan there; the bundle fan
+    and the subdivision are proven by construction.  A warm pass reads
+    the fans kept on its inputs and validates only the fan of the
+    well-formed blow-up, which is new on every pass.
+    """
+
+    @staticmethod
+    def counted_pass(monkeypatch, paper, inputs):
+        counts = {}
+        TestFanWork.counting(monkeypatch, _kernels, "rank", counts)
+        TestFanWork.counting(monkeypatch, Fan, "__post_init__", counts)
+        paper.run_pass(inputs)
+        return counts
+
+    def test_warm_pass(self, monkeypatch):
+        paper = load_paper_workload()
+        inputs = paper.Inputs()
+        paper.run_pass(inputs)
+        assert self.counted_pass(monkeypatch, paper, inputs) == {
+            "rank": 35, "__post_init__": 1
+        }
+
+    def test_pass_on_new_inputs(self, monkeypatch):
+        paper = load_paper_workload()
+        paper.run_pass(paper.Inputs())
+        inputs = paper.Inputs()
+        assert self.counted_pass(monkeypatch, paper, inputs) == {
+            "rank": 53, "__post_init__": 3
+        }

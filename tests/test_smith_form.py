@@ -281,6 +281,27 @@ class TestSmithFormMemo:
         assert _SmithForm.of(again.weights).gale_row_gcds() is gcds
         assert is_well_formed(first.weights) and gcds == (1,) * 5
 
+    def test_kernel_basis_is_kept_on_the_form(self, monkeypatch):
+        hermite_calls = []
+        real = _kernels.hermite
+        monkeypatch.setattr(
+            _kernels, "hermite", lambda rows: hermite_calls.append(1) or real(rows)
+        )
+        m = M([[1, 1, 1, 0, -2], [0, 0, 0, 1, 1]])
+        before = (hash(m), repr(m), pickle.dumps(m))
+        basis = kernel_basis(m)
+        assert kernel_basis(m) is basis and gale_dual(m) is basis
+        assert vars(_SmithForm.of(m))["_kernel_basis"] is basis
+        assert len(hermite_calls) == 1
+        assert (hash(m), repr(m), pickle.dumps(m)) == before
+        for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert twin == m and "_smith_form" not in vars(twin)
+            assert kernel_basis(twin) == basis and kernel_basis(twin) is not basis
+        assert len(hermite_calls) == 4
+        form = _SmithForm.of(m)
+        twin = _SmithForm(form.rows, form.diag, form.v)
+        assert twin == form and "_kernel_basis" not in vars(twin)
+
     def test_form_is_kept_per_object(self, smith_calls):
         m = M([[1, 2, 3], [4, 5, 6]])
         assert _SmithForm.of(m) is _SmithForm.of(m)

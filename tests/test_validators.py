@@ -440,3 +440,63 @@ def test_many_components_are_checked_against_larger_ones_only():
     assert MonomialIdeal(edges).components == edges
     with pytest.raises(InvalidArgumentError, match=r"\(3, 5\) is contained in \(3, 5, 7\)$"):
         MonomialIdeal(edges + ((3, 5, 7),))
+
+
+# ---------------------------------------------------------------------------
+# non-integral numbers at the integer coercions of user input
+
+
+P2_CONES = ((0, 1), (1, 2), (0, 2))
+
+
+def nonintegral_calls():
+    from fractions import Fraction
+
+    from coxforge.blowup import BlowupSpec, Equation, blow_up_wps, pullback_order
+    from coxforge.galefan import WeightedBundleSpec, star_subdivision
+    from coxforge.singular import ChartReport, QuotientSingularity
+    from coxforge.vgit import anticanonical_in_moving_interior, graded_ring_generators
+
+    fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), P2_CONES)
+    spec = BlowupSpec((1, 2), 2, (1, 2, 3, 1, 1), (4, 2, 3, 1, 1))
+    p1xp1 = CoxPresentation(("x", "y", "z", "t"), WF, IDEAL)
+    return {
+        "fan-ray": (lambda: Fan(2, ((1.5, 0), (0, 1), (-1, -1)), P2_CONES), 1.5),
+        "subdivide": (lambda: star_subdivision(fan, (1.7, 1)), 1.7),
+        "bundle-omega": (lambda: WeightedBundleSpec(n=1, m=1, omega=(0, 1.9), a=(1, 1)), 1.9),
+        "bundle-a": (lambda: WeightedBundleSpec(n=1, m=1, omega=(0, 1), a=(1, 2.5)), 2.5),
+        "wps-blowup-a": (lambda: blow_up_wps((1, 1, 2.5), 1, 1, (1,)), 2.5),
+        "wps-blowup-b": (lambda: blow_up_wps((1, 1, 2), 1, 1, (Fraction(3, 2),)),
+                         Fraction(3, 2)),
+        "blowup-fiber": (lambda: BlowupSpec((1, 2), 2, (1, 2, 3.5, 1, 1), (4, 2, 3, 1, 1)), 3.5),
+        "blowup-b": (lambda: BlowupSpec((1, 2), 2, (1, 2, 3, 1, 1), (4, 2.2, 3, 1, 1)), 2.2),
+        "equation-degree": (lambda: Equation((-1, 3.5)), 3.5),
+        "equation-support": (lambda: Equation((-1, 3), ((1, 0.5),)), 0.5),
+        "pullback-support": (lambda: pullback_order(spec, [(1, 0, 0, 0, 1.25, 0, 0)]), 1.25),
+        "chart": (lambda: ChartReport((0, 1.5), QuotientSingularity(1, ())), 1.5),
+        "gens-character": (lambda: graded_ring_generators(p1xp1, (1, 0.5), 2), 0.5),
+        "anticanonical-degree": (lambda: anticanonical_in_moving_interior(p1xp1, [(1, 0.5)]),
+                                 0.5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(nonintegral_calls()))
+def test_nonintegral_input_is_refused_not_truncated(name):
+    call, entry = nonintegral_calls()[name]
+    with pytest.raises(InvalidArgumentError) as caught:
+        call()
+    with pytest.raises(InvalidArgumentError) as matrix:
+        M([[entry]])
+    assert str(caught.value) == str(matrix.value) == f"non-integer entry {entry!r}"
+
+
+def test_integral_numbers_still_coerce():
+    from coxforge.galefan import WeightedBundleSpec, star_subdivision
+
+    fan = Fan(2, ((1, 0.0), (0, True), (-1.0, -1)), P2_CONES)
+    assert fan.rays == ((1, 0), (0, 1), (-1, -1))
+    assert {type(e) for ray in fan.rays for e in ray} == {int}
+    sub = star_subdivision(fan, (2.0, 1))
+    assert sub == star_subdivision(fan, (2, 1)) and type(sub.rays[-1][0]) is int
+    spec = WeightedBundleSpec(n=1, m=1, omega=(0.0, 1.0), a=(1, True))
+    assert repr(spec) == "WeightedBundleSpec(n=1, m=1, omega=(0, 1), a=(1,))"
