@@ -1,4 +1,4 @@
-"""The decorators behind the immutable value classes and their kept values.
+"""Immutable value classes: their decorator, kept values and proven values.
 
 :func:`frozen` gives a class the methods of a frozen standard-library data
 class: an ``__init__`` taking the fields by position or keyword,
@@ -19,6 +19,15 @@ never reaches a pickle or a copy.
 
 :func:`kept` keeps what a function computes from a value on that value, so
 each invariant of an immutable value is computed once per object.
+
+:func:`proven` builds a value whose checks its caller has proven, as
+unpickling builds it: no ``__init__`` and no ``__post_init__``.  Use it
+only where the value follows from inputs that were already checked (a
+model of a checked presentation, a fan built from checked numbers), with
+the proof in a comment at the call.  The fields must be passed in the form
+the constructor stores them (int tuples, sorted components, ...), or
+``==``, ``hash`` and ``repr`` would differ from those of the checked value;
+a user's input always goes through the constructor.
 """
 
 from __future__ import annotations
@@ -119,3 +128,14 @@ def kept(name: str):
         return get
 
     return decorate
+
+
+def proven(cls: type, **fields):
+    """A ``cls`` value with ``fields``, built without running its checks.
+
+    The caller has proven every check of ``cls.__post_init__`` and passes
+    every field, already in stored form; see the module docstring.
+    """
+    value = object.__new__(cls)
+    vars(value).update(fields)
+    return value

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Sequence, Union
 
 from . import _kernels
-from ._frozen import frozen, kept
+from ._frozen import frozen, kept, proven
 from .errors import (
     InvalidArgumentError,
     RankError,
@@ -542,7 +542,12 @@ def well_form(p: CoxPresentation) -> tuple[CoxPresentation, WellFormingCertifica
     Hermite-canonical and has ``stacky=False``.
     """
     model, steps = _well_form_matrix(p.weights)
-    out = CoxPresentation(
+    # The variables and the ideal are those of the checked ``p``, and
+    # ``_well_form_matrix`` checked that ``model`` is well-formed.  Its
+    # steps (unimodular row moves, prime column scalings and exact row
+    # divisions) keep every column nonzero and the rank full.
+    out = proven(
+        CoxPresentation,
         variables=p.variables,
         weights=model,
         irrelevant=p.irrelevant,

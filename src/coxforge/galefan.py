@@ -14,7 +14,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import _kernels
-from ._frozen import frozen, kept
+from ._frozen import frozen, kept, proven
 from .coxpres import (
     CoxPresentation,
     MonomialIdeal,
@@ -59,8 +59,8 @@ class Fan:
 
     The constructor runs every check below.  The fans that
     :func:`weighted_bundle_fan` and :func:`star_subdivision` derive are
-    simplicial fans by construction, and :func:`_proven_fan` builds them
-    without the rank checks; each caller gives the proof.
+    simplicial fans by construction, and :func:`~coxforge._frozen.proven`
+    builds them without the checks; each caller gives the proof.
     """
 
     lattice_dim: int
@@ -119,23 +119,6 @@ def _require_antichain(cones: Sequence[tuple[int, ...]]) -> None:
                     f"maximal cones must form an antichain: {cones[i]} lies "
                     f"inside {cones[j]}"
                 )
-
-
-def _proven_fan(
-    lattice_dim: int,
-    rays: tuple[tuple[int, ...], ...],
-    max_cones: tuple[tuple[int, ...], ...],
-) -> Fan:
-    """A fan whose checks its caller has proven, built without running them.
-
-    The value is built as unpickling builds it, with no ``__init__`` and no
-    ``__post_init__``.  The fields must already be in the form ``Fan``
-    stores: rays as int tuples, each cone a sorted tuple of distinct
-    indices.
-    """
-    fan = object.__new__(Fan)
-    vars(fan).update(lattice_dim=lattice_dim, rays=rays, max_cones=max_cones)
-    return fan
 
 
 def _solve_in_cone(
@@ -329,7 +312,7 @@ def weighted_bundle_fan(spec: WeightedBundleSpec) -> tuple[Fan, CoxPresentation]
     # alphas are independent, and its betas are independent on the fiber
     # coordinates, so its rays are block-triangular and independent.  The
     # cones are distinct and of one size, so they form an antichain.
-    fan = _proven_fan(d, rays, cones)
+    fan = proven(Fan, lattice_dim=d, rays=rays, max_cones=cones)
 
     weights = IntMatrix(
         (
@@ -456,4 +439,6 @@ def star_subdivision(fan: Fan, w: Sequence[int]) -> Fan:
     # so its rays stay independent.  Only the antichain is checked: on an
     # input that is not a fan, two of the cones can still nest.
     _require_antichain(cones)
-    return _proven_fan(fan.lattice_dim, fan.rays + (vec,), cones)
+    return proven(
+        Fan, lattice_dim=fan.lattice_dim, rays=fan.rays + (vec,), max_cones=cones
+    )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from typing import Optional, Sequence
 
-from ._frozen import frozen, kept
+from ._frozen import frozen, kept, proven
 from .coxpres import CoxPresentation, MonomialIdeal
 from .errors import (
     InvalidArgumentError,
@@ -118,8 +118,8 @@ class Chamber:
     index: int
 
     def __post_init__(self) -> None:
-        left = tuple(map(int, self.left))
-        right = tuple(map(int, self.right))
+        left = tuple(map(_as_int, self.left))
+        right = tuple(map(_as_int, self.right))
         if left == right:
             raise InvalidArgumentError("chamber walls must be distinct")
         if self.index < 0:
@@ -146,10 +146,12 @@ class WallCrossing:
     base_weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "wall", tuple(map(int, self.wall)))
-        object.__setattr__(self, "type_vector", tuple(map(int, self.type_vector)))
-        object.__setattr__(self, "base_vars", tuple(map(int, self.base_vars)))
-        object.__setattr__(self, "base_weights", tuple(map(int, self.base_weights)))
+        object.__setattr__(self, "wall", tuple(map(_as_int, self.wall)))
+        object.__setattr__(self, "type_vector", tuple(map(_as_int, self.type_vector)))
+        object.__setattr__(self, "base_vars", tuple(map(_as_int, self.base_vars)))
+        object.__setattr__(
+            self, "base_weights", tuple(map(_as_int, self.base_weights))
+        )
         if 0 in self.type_vector:
             raise InvalidArgumentError("type vector entries must be nonzero")
         total = sum(self.type_vector)
@@ -179,11 +181,11 @@ class EndBehavior:
     beyond_count: int = 0  # always 0 from _end; kept for perfbench digests
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ray", tuple(map(int, self.ray)))
+        object.__setattr__(self, "ray", tuple(map(_as_int, self.ray)))
         object.__setattr__(
             self,
             "target_generators",
-            tuple(tuple(map(int, g)) for g in self.target_generators),
+            tuple(tuple(map(_as_int, g)) for g in self.target_generators),
         )
         if self.kind not in ("Fibration", "DivisorialContraction"):
             raise InvalidArgumentError(f"unknown end kind {self.kind!r}")
@@ -233,6 +235,10 @@ class _Sweep:
     computed once per presentation object.  It holds tuples and the
     fields of ``p`` that :meth:`model` reads, never ``p`` itself: no
     caller can change it, and it makes no reference cycle with ``p``.
+    ``p`` was checked when it was built, so the values the sweep derives
+    from it (chambers, models and their ideals, crossings, ends) are built
+    with :func:`~coxforge._frozen.proven`, without their constructors'
+    checks; the proof is at each call.
 
     Raises:
         InvalidArgumentError: if ``p`` does not have rank 2.
@@ -262,16 +268,28 @@ class _Sweep:
             at = back
         self.walls = tuple(walls)
         self.at = tuple(at)
+        # The walls are distinct primitive int tuples.
         self.chambers = tuple(
-            Chamber(walls[i], walls[i + 1], i) for i in range(len(walls) - 1)
+            proven(Chamber, left=walls[i], right=walls[i + 1], index=i)
+            for i in range(len(walls) - 1)
         )
+        # Dropping variable ``j`` loses only a wall index that ``j`` alone
+        # holds, so the moving cone runs from the second-smallest to the
+        # second-largest entry of ``at``; ``()`` when it is empty.
+        s = sorted(at)
+        self._moving = (walls[s[1]], walls[s[-2]]) if s[1] <= s[-2] else ()
 
     def model(self, index: int) -> CoxPresentation:
         """The presentation whose irrelevant ideal selects chamber ``index``."""
-        return CoxPresentation(
+        # The variables, weights and ``stacky`` are those of the checked
+        # input.  ``_split`` gives two disjoint sorted components of its
+        # indices, both non-empty: the first wall holds a column at or
+        # before any chamber, the last wall one after it.
+        return proven(
+            CoxPresentation,
             variables=self.variables,
             weights=self.weights,
-            irrelevant=MonomialIdeal(_split(self.at, index)),
+            irrelevant=proven(MonomialIdeal, components=_split(self.at, index)),
             stacky=self.stacky,
         )
 
@@ -279,31 +297,42 @@ class _Sweep:
         """The crossing at the primitive ray ``w``, which must be an interior wall."""
         if w not in self.walls:
             raise InvalidArgumentError(f"{w} is not a wall of this presentation")
-        if w in (self.walls[0], self.walls[-1]):
+        k = self.walls.index(w)
+        if k in (0, len(self.walls) - 1):
             raise InvalidArgumentError(
                 f"{w} is an extreme wall; use end_behavior for the ends of the game"
             )
-        on_wall = [j for j, d in enumerate(self.dirs) if d == w]
-        off_wall = [j for j, d in enumerate(self.dirs) if d != w]
-        entries = tuple(self.orient * _det2(self.cols[j], w) for j in off_wall)
-        base_weights = tuple(_multiple(self.cols[j], w) for j in on_wall)
+        w0, w1 = w = self.walls[k]
+        o = self.orient
+        entries, on_wall, base_weights = [], [], []
+        for j, (d, (c0, c1)) in enumerate(zip(self.dirs, self.cols)):
+            if d == w:
+                on_wall.append(j)
+                base_weights.append(c0 // w0 if w0 else c1 // w1)
+            else:
+                entries.append(o * (c0 * w1 - c1 * w0))
         total = sum(entries)
         kind = "Flip" if total > 0 else "AntiFlip" if total < 0 else "Flop"
-        return WallCrossing(w, entries, kind, tuple(on_wall), base_weights)
+        # ``w`` is the sweep's own wall and every entry an int.  An
+        # off-wall entry is nonzero: the antipode of an interior wall is no
+        # column direction.  ``kind`` comes from the sum, and each on-wall
+        # variable has its multiple.
+        return proven(
+            WallCrossing,
+            wall=w,
+            type_vector=tuple(entries),
+            classification=kind,
+            base_vars=tuple(on_wall),
+            base_weights=tuple(base_weights),
+        )
 
     def moving(self) -> tuple[Vec2, Vec2]:
-        """Boundary rays of the moving cone (see :func:`cones_rank2`).
-
-        Dropping variable ``j`` loses only a wall index that ``j`` alone
-        holds, so the cone runs from the second-smallest to the
-        second-largest entry of ``at``.
-        """
-        s = sorted(self.at)
-        if s[1] > s[-2]:
+        """Boundary rays of the moving cone (see :func:`cones_rank2`)."""
+        if not self._moving:
             raise UnsupportedFeatureError(
                 "the moving cone is empty: some divisor meets every model"
             )
-        return self.walls[s[1]], self.walls[s[-2]]
+        return self._moving
 
 
 @kept("_sweep")
@@ -497,20 +526,28 @@ def _end(sweep: _Sweep, ray: Vec2, degree_bound: Optional[int]) -> EndBehavior:
         raise InvalidArgumentError(
             f"{ray} is not a boundary ray of the moving cone {moving}"
         )
+    low = ray == moving[0]
+    ray = moving[0] if low else moving[1]
     k = sweep.walls.index(ray)
-    if ray == moving[0]:
+    if low:
         beyond = [j for j, a in enumerate(sweep.at) if a < k]
     else:
         beyond = [j for j, a in enumerate(sweep.at) if a > k]
     bound = degree_bound if degree_bound is not None else _default_bound(sweep, ray)
     _check_level(ray, bound)
     gens = _generators(sweep, ray, bound)
-    if not beyond:
-        return EndBehavior("Fibration", ray, gens)
     if len(beyond) > 1:
         raise AssertionError("the moving cone leaves at most one column beyond an end")
-    return EndBehavior(
-        "DivisorialContraction", ray, gens, contracted_variable=beyond[0]
+    # ``ray`` is the sweep's own wall and ``gens`` are int tuples.  A
+    # fibration has no column beyond the ray, and a contraction names its
+    # one column.
+    return proven(
+        EndBehavior,
+        kind="DivisorialContraction" if beyond else "Fibration",
+        ray=ray,
+        target_generators=gens,
+        contracted_variable=beyond[0] if beyond else None,
+        beyond_count=0,
     )
 
 

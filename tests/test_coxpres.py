@@ -493,6 +493,51 @@ class TestMultiPrimePeeling:
             pairs += 1
 
 
+def random_rank23_presentation(rng):
+    """A stacky rank-2 or rank-3 presentation with a random ideal, often
+    with a row or a column scaled so that ``well_form`` must repair it."""
+    r = rng.choice((2, 3))
+    n = rng.randint(r + 1, r + 4)
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        if rank(M(rows)) == r and all(map(any, zip(*rows))):
+            break
+    if rng.random() < 0.5:
+        f, i = rng.choice((2, 3, 5)), rng.randrange(r)
+        rows[i] = [f * e for e in rows[i]]
+    if rng.random() < 0.5:
+        f, j = rng.choice((2, 3, 5)), rng.randrange(n)
+        for row in rows:
+            row[j] *= f
+    order = rng.sample(range(n), n)
+    cut = rng.randint(1, n - 1)
+    comps = (tuple(order[:cut]), tuple(order[cut:]))
+    return P([f"v{j}" for j in range(n)], rows, comps[: rng.randint(1, 2)], stacky=True)
+
+
+class TestWellFormOutputByConstruction:
+    def test_output_is_what_the_constructor_stores(self):
+        # ``well_form`` builds its presentation without the constructor's
+        # checks; rebuilding it from its fields runs them
+        rng = random.Random(24)
+        seen = {2: 0, 3: 0, "repaired": 0, UnsupportedFeatureError: 0}
+        while min(seen.values()) < 100:
+            p = random_rank23_presentation(rng)
+            got = outcome(well_form, p)
+            if got[0] != "ok":
+                assert got[0] is UnsupportedFeatureError, got
+                seen[got[0]] += 1
+                continue
+            out, cert = got[1]
+            seen[p.rank] += 1
+            seen["repaired"] += bool(cert.steps)
+            assert set(vars(out)) >= set(CoxPresentation.__match_args__)
+            fields = [getattr(out, name) for name in CoxPresentation.__match_args__]
+            twin = CoxPresentation(*fields)
+            assert repr(twin) == repr(out) and twin == out and hash(twin) == hash(out)
+            assert out == CoxPresentation(p.variables, out.weights, p.irrelevant)
+
+
 class TestWpsWellForm:
     def test_goldens(self):
         assert wps_well_form((2, 2, 4)) == (1, 1, 2)

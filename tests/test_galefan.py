@@ -702,3 +702,31 @@ class TestPaperPassValidatesEachFanOnce:
         assert self.counted_pass(monkeypatch, paper, inputs) == {
             "rank": 53, "__post_init__": 3
         }
+
+
+class TestPaperPassValidatesPresentations:
+    """``CoxPresentation`` checks in one pass of the ``paper`` workload.
+
+    Chamber models and well-formed models are built by construction; what
+    remains are the presentations the pass builds from numbers (bundles,
+    blow-ups, criteria inputs).  Inputs are built before counting.
+    """
+
+    @staticmethod
+    def counted_pass(monkeypatch, paper, inputs):
+        counts = {}
+        TestFanWork.counting(monkeypatch, CoxPresentation, "__post_init__", counts)
+        paper.run_pass(inputs)
+        return counts.get("__post_init__", 0)
+
+    def test_warm_pass(self, monkeypatch):
+        paper = load_paper_workload()
+        inputs = paper.Inputs()
+        paper.run_pass(inputs)
+        assert self.counted_pass(monkeypatch, paper, inputs) == 7
+
+    def test_pass_on_new_inputs(self, monkeypatch):
+        paper = load_paper_workload()
+        paper.run_pass(paper.Inputs())
+        inputs = paper.Inputs()
+        assert self.counted_pass(monkeypatch, paper, inputs) == 7

@@ -7,7 +7,9 @@ bodies, which walked every element in Python; they run on a plain
 namespace standing in for the value.  On a table of bad inputs both must
 raise the same exception class with the same message, and on random
 valid inputs both must store the same fields (compared by ``repr``, so a
-coerced ``int`` and an ``IntEnum`` member stay apart).
+coerced ``int`` and an ``IntEnum`` member stay apart).  The coercions of
+``Chamber``, ``WallCrossing`` and ``EndBehavior`` (``loop_int``) refuse a
+number that ``int`` would truncate, as ``IntMatrix`` does.
 """
 
 import enum
@@ -113,9 +115,17 @@ def loop_cox_presentation(self):
         )
 
 
+def loop_int(e):
+    """``int(e)``, refusing a number that ``int`` would truncate."""
+    value = int(e)
+    if value != e and not isinstance(e, str):
+        raise InvalidArgumentError(f"non-integer entry {e!r}")
+    return value
+
+
 def loop_chamber(self):
-    left = tuple(int(e) for e in self.left)
-    right = tuple(int(e) for e in self.right)
+    left = tuple(loop_int(e) for e in self.left)
+    right = tuple(loop_int(e) for e in self.right)
     if left == right:
         raise InvalidArgumentError("chamber walls must be distinct")
     if self.index < 0:
@@ -125,11 +135,11 @@ def loop_chamber(self):
 
 
 def loop_wall_crossing(self):
-    object.__setattr__(self, "wall", tuple(int(e) for e in self.wall))
-    object.__setattr__(self, "type_vector", tuple(int(e) for e in self.type_vector))
-    object.__setattr__(self, "base_vars", tuple(int(e) for e in self.base_vars))
+    object.__setattr__(self, "wall", tuple(loop_int(e) for e in self.wall))
+    object.__setattr__(self, "type_vector", tuple(loop_int(e) for e in self.type_vector))
+    object.__setattr__(self, "base_vars", tuple(loop_int(e) for e in self.base_vars))
     object.__setattr__(
-        self, "base_weights", tuple(int(e) for e in self.base_weights)
+        self, "base_weights", tuple(loop_int(e) for e in self.base_weights)
     )
     if any(t == 0 for t in self.type_vector):
         raise InvalidArgumentError("type vector entries must be nonzero")
@@ -144,11 +154,11 @@ def loop_wall_crossing(self):
 
 
 def loop_end_behavior(self):
-    object.__setattr__(self, "ray", tuple(int(e) for e in self.ray))
+    object.__setattr__(self, "ray", tuple(loop_int(e) for e in self.ray))
     object.__setattr__(
         self,
         "target_generators",
-        tuple(tuple(int(e) for e in g) for g in self.target_generators),
+        tuple(tuple(loop_int(e) for e in g) for g in self.target_generators),
     )
     if self.kind not in ("Fibration", "DivisorialContraction"):
         raise InvalidArgumentError(f"unknown end kind {self.kind!r}")
@@ -477,6 +487,9 @@ def nonintegral_calls():
         "gens-character": (lambda: graded_ring_generators(p1xp1, (1, 0.5), 2), 0.5),
         "anticanonical-degree": (lambda: anticanonical_in_moving_interior(p1xp1, [(1, 0.5)]),
                                  0.5),
+        "chamber-wall": (lambda: Chamber((1, 0), (0, 1.9), 0), 1.9),
+        "crossing-type": (lambda: WallCrossing((1, 1), (1, 0.5), "Flip", (), ()), 0.5),
+        "end-generator": (lambda: EndBehavior("Fibration", (1, 0), ((1, 2.5),)), 2.5),
     }
 
 

@@ -2,6 +2,8 @@
 
 import copy
 import gc
+import importlib.util
+import os
 import pickle
 import random
 import time
@@ -806,3 +808,165 @@ class TestSweepKeptOnThePresentation:
         for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
             assert twin == p and p == twin and "_sweep" not in vars(twin)
             assert two_ray_game(twin) == game
+
+
+# ---------------------------------------------------------------------------
+# game values built by construction against the public constructors
+
+
+def reference_two_ray_game(p, degree_bound=None):
+    """The game with every value built through its public constructor.
+
+    The construction ``two_ray_game`` used before its values were built
+    without their checks: the sweep's walls, wall indices and orientation,
+    then each chamber, model, ideal, crossing and end checked on the way.
+    """
+    sweep = vgit._Sweep(p)
+    walls = sweep.walls
+    chambers = tuple(Chamber(walls[i], walls[i + 1], i) for i in range(len(walls) - 1))
+    models = tuple(
+        CoxPresentation(
+            variables=p.variables,
+            weights=p.weights,
+            irrelevant=MonomialIdeal(vgit._split(sweep.at, c.index)),
+            stacky=p.stacky,
+        )
+        for c in chambers
+    )
+    crossings = []
+    for w in walls[1:-1]:
+        on_wall = [j for j, d in enumerate(sweep.dirs) if d == w]
+        off_wall = [j for j, d in enumerate(sweep.dirs) if d != w]
+        entries = tuple(sweep.orient * _det2(sweep.cols[j], w) for j in off_wall)
+        base_weights = tuple(vgit._multiple(sweep.cols[j], w) for j in on_wall)
+        total = sum(entries)
+        kind = "Flip" if total > 0 else "AntiFlip" if total < 0 else "Flop"
+        crossings.append(
+            vgit.WallCrossing(w, entries, kind, tuple(on_wall), base_weights)
+        )
+    s = sorted(sweep.at)
+    if s[1] > s[-2]:
+        raise UnsupportedFeatureError(
+            "the moving cone is empty: some divisor meets every model"
+        )
+    ends = []
+    moving = (walls[s[1]], walls[s[-2]])
+    for ray in moving:
+        k = walls.index(ray)
+        if ray == moving[0]:  # also the high end of a one-ray moving cone
+            beyond = [j for j, a in enumerate(sweep.at) if a < k]
+        else:
+            beyond = [j for j, a in enumerate(sweep.at) if a > k]
+        bound = degree_bound if degree_bound is not None else vgit._default_bound(sweep, ray)
+        gens = vgit._generators(sweep, ray, bound)
+        if beyond:
+            ends.append(vgit.EndBehavior(
+                "DivisorialContraction", ray, gens, contracted_variable=beyond[0]
+            ))
+        else:
+            ends.append(vgit.EndBehavior("Fibration", ray, gens))
+    return vgit.GameDiagram(models, tuple(crossings), tuple(ends), chambers)
+
+
+def assert_rebuilds(value):
+    """``value`` is what its public constructor stores from its own fields."""
+    cls = type(value)
+    names = cls.__match_args__
+    assert set(vars(value)) >= set(names), value
+    twin = cls(*(getattr(value, name) for name in names))
+    assert repr(twin) == repr(value)
+    assert twin == value and hash(twin) == hash(value)
+
+
+def assert_game_rebuilds(game):
+    """Each model, ideal, chamber, crossing and end of ``game`` rebuilds."""
+    for model in game.models:
+        assert_rebuilds(model)
+        assert_rebuilds(model.irrelevant)
+    for value in (*game.chambers, *game.crossings, *game.ends):
+        assert_rebuilds(value)
+
+
+def load_workloads():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECKED = (CoxPresentation, MonomialIdeal, Chamber, vgit.WallCrossing, vgit.EndBehavior)
+
+
+def count_checks(monkeypatch, classes=CHECKED):
+    """Counts of each class's ``__post_init__`` while the test runs."""
+    counts = Counter()
+    for cls in classes:
+        real = cls.__post_init__
+
+        def counted(self, real=real, name=cls.__name__):
+            counts[name] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+class TestGameValuesByConstruction:
+    def test_random_games_match_the_checked_construction(self):
+        rng = random.Random(2024)
+        seen = Counter()
+        while seen["ok"] < 1500:
+            p = random_rank2(rng)
+            expected = outcome(reference_two_ray_game, fresh(p))
+            got = outcome(two_ray_game, p)
+            assert got == expected, p
+            if got[0] == "ok":
+                assert repr(got[1]) == repr(expected[1])
+                assert_game_rebuilds(got[1])
+            seen[got[0]] += 1
+        assert {NotQuasiProjectiveError, UnsupportedFeatureError} <= set(seen), seen
+
+    def test_scaled_games_match_the_checked_construction(self):
+        workloads = load_workloads()
+        sizes = range(8, 25, 4)
+        assert tuple(sizes) == workloads.GAME_SIZES
+        for m in sizes:
+            for variant in range(workloads.VARIANTS):
+                p = workloads.game_instance(m, variant)
+                game = two_ray_game(p)
+                expected = reference_two_ray_game(fresh(p))
+                assert game == expected and repr(game) == repr(expected)
+                assert_game_rebuilds(game)
+                # a copy carries no kept sweep, and builds the same values
+                twin = pickle.loads(pickle.dumps(p))
+                assert repr(two_ray_game(twin)) == repr(game)
+
+    def test_entry_points_give_values_that_rebuild(self):
+        p = fresh(F)
+        walls, chambers = chambers_rank2(p)
+        low, high = cones_rank2(p)[1]
+        values = [*chambers, model_at_chamber(p, chambers[1]), wall_crossing(p, walls[1]),
+                  end_behavior(p, low), end_behavior(p, high, 3)]
+        for value in values:
+            assert_rebuilds(value)
+        assert_rebuilds(values[len(chambers)].irrelevant)
+
+    def test_a_new_game_runs_no_value_check(self, monkeypatch):
+        # the 25-chamber bundle of ``test_game_reuses_the_input_smith_form``
+        _, pres = weighted_bundle_fan(
+            WeightedBundleSpec(n=1, m=24, omega=tuple(range(25)), a=(1,) * 25)
+        )
+        counts = count_checks(monkeypatch)
+        game = two_ray_game(pres)
+        assert len(game.models) == 25 and len(game.crossings) == 24
+        assert counts == {}
+
+    def test_non_int_user_input_stores_ints(self):
+        # a wall or ray given with bools stores the sweep's own int tuples
+        p = fresh(F)
+        walls, _ = chambers_rank2(p)
+        crossing = wall_crossing(p, (walls[1][0], True))
+        assert walls[1][1] == 1 and crossing.wall is walls[1]
+        end = end_behavior(p, (True, False))
+        assert end.ray == (1, 0) and {type(e) for e in end.ray} == {int}
