@@ -24,7 +24,7 @@ from .galefan import (
     star_subdivision,
     weighted_bundle_fan,
 )
-from .intlattice import IntMatrix, _as_int, primitive_vector
+from .intlattice import IntMatrix, _as_index, _as_int, primitive_vector
 
 __all__ = [
     "BlowupSpec",
@@ -59,7 +59,8 @@ class BlowupSpec:
     new_var: str = "xi"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", tuple(self.center))
+        center = tuple(_as_index(c, "center index") for c in self.center)
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "fiber_weights", tuple(map(_as_int, self.fiber_weights)))
         object.__setattr__(
             self, "b", tuple(None if x is None else _as_int(x) for x in self.b)
@@ -67,7 +68,7 @@ class BlowupSpec:
         a = self.fiber_weights
         if not a or any(w <= 0 for w in a):
             raise InvalidArgumentError("fiber weights must be positive")
-        if not 0 <= self.k < len(a):
+        if _as_index(self.k, "fiber index k") >= len(a):
             raise InvalidArgumentError(f"k={self.k} is not a fiber index")
         if len(self.b) != len(a):
             raise InvalidArgumentError("one exceptional weight per fiber index")
@@ -120,7 +121,7 @@ class BlowupSpec:
         """
         self._require_complete()
         m = len(self.fiber_weights) - 1
-        if num_variables != m + 3:
+        if _as_index(num_variables, "variable count") != m + 3:
             raise InvalidArgumentError(
                 f"expected {m + 3} bundle variables, got {num_variables}"
             )
@@ -133,7 +134,7 @@ class BlowupSpec:
         return tuple(out)
 
     def _center_pair(self) -> tuple[int, int]:
-        if len(self.center) != 2 or not all(isinstance(c, int) for c in self.center):
+        if len(self.center) != 2:
             raise InvalidArgumentError(
                 f"center {self.center!r} is not a fixed-point index pair"
             )
@@ -165,8 +166,8 @@ class Equation:
             if any(e < 0 for mono in support for e in mono):
                 raise InvalidArgumentError("exponents must be nonnegative")
             object.__setattr__(self, "support", support)
-        if self.order is not None and self.order < 0:
-            raise InvalidArgumentError("exceptional order must be nonnegative")
+        if self.order is not None:
+            _as_index(self.order, "exceptional order")
 
 
 @frozen
@@ -314,8 +315,9 @@ def blow_up_wps(
         raise InvalidArgumentError("need at least two weights")
     if any(w <= 0 for w in a):
         raise InvalidArgumentError("weights must be positive")
-    if not 0 <= k <= n - 1:
+    if _as_index(k, "split index k") > n - 1:
         raise InvalidArgumentError(f"split index k={k} out of range 0..{n - 1}")
+    alpha = _as_int(alpha)
     if alpha <= 0:
         raise InvalidArgumentError("exceptional weight alpha must be positive")
     if len(b) != n - k:
@@ -460,6 +462,7 @@ def solve_exceptional_weight(
     a = spec_pattern.fiber_weights
     ak = spec_pattern.a_k
     target = Fraction(target)
+    _as_index(bound, "search bound")
     residue = 0 if unknown == spec_pattern.k else a[unknown] % ak
     start = residue if residue != 0 else ak
     for value in range(start, bound + 1, ak):

@@ -26,6 +26,8 @@ from .errors import (
 from .intlattice import (
     IntMatrix,
     UnimodularWitness,
+    _as_index,
+    _as_int,
     _peel_primes,
     _SmithForm,
     _standardisation,
@@ -174,10 +176,7 @@ class MonomialIdeal:
                 raise InvalidArgumentError("empty ideal component")
             if not (ints.issuperset(map(type, entries)) and min(entries) >= 0):
                 for i in entries:
-                    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-                        raise InvalidArgumentError(
-                            f"variable index must be a nonnegative integer, got {i!r}"
-                        )
+                    _as_index(i, "variable index")
             key = frozenset(entries)
             if len(key) != len(entries):
                 raise InvalidArgumentError(f"repeated index in component {entries}")
@@ -322,6 +321,7 @@ class CoxPresentation:
             raise InvalidArgumentError(
                 f"expected {self.num_variables} exponents, got {len(exponents)}"
             )
+        exponents = tuple(map(_as_int, exponents))
         return tuple(
             sum(w * e for w, e in zip(row, exponents)) for row in self.weights.entries
         )
@@ -339,13 +339,8 @@ class CoxPresentation:
 
 
 def _require_prime(q: int) -> None:
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2 or smallest_prime_factor(q) != q:
+    if _as_index(q, "factor", least=1) < 2 or smallest_prime_factor(q) != q:
         raise InvalidArgumentError(f"factor must be prime, got {q!r}")
-
-
-def _require_index(i: object, what: str) -> None:
-    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-        raise InvalidArgumentError(f"{what} index must be a nonnegative integer, got {i!r}")
 
 
 @frozen
@@ -374,8 +369,8 @@ class ColumnScale:
 
     def __post_init__(self) -> None:
         _require_prime(self.factor)
-        _require_index(self.column, "column")
-        _require_index(self.row, "row")
+        _as_index(self.column, "column index")
+        _as_index(self.row, "row index")
 
 
 @frozen
@@ -387,7 +382,7 @@ class RowDivide:
 
     def __post_init__(self) -> None:
         _require_prime(self.factor)
-        _require_index(self.row, "row")
+        _as_index(self.row, "row index")
 
 
 Step = Union[RowTransform, ColumnScale, RowDivide]
@@ -571,7 +566,7 @@ def wps_well_form(weights: Sequence[int]) -> tuple[int, ...]:
     (quasi-reflection).  The result has coprime co-(n-1)-tuples: the gcd of
     every subset omitting one weight is 1.
     """
-    a = [int(w) for w in weights]
+    a = [_as_int(w) for w in weights]
     if not a:
         raise InvalidArgumentError("need at least one weight")
     if any(w < 1 for w in a):

@@ -3,6 +3,9 @@
 Every error raised on bad user input derives from :class:`CoxforgeError`
 (itself a ``ValueError``), so callers can catch one type at API or CLI
 boundaries.  Internal invariant violations use plain ``AssertionError``.
+A number a caller passes where an integer is expected meets one of the two
+integer rules of :mod:`coxforge.intlattice` (values and indices), so a bad
+one raises :class:`InvalidArgumentError`, never a ``TypeError``.
 """
 
 __all__ = [

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .intlattice import (
     IntMatrix,
+    _as_index,
     _as_int,
     _SmithForm,
     hnf_canonical,
@@ -68,9 +69,7 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        d = self.lattice_dim
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise InvalidArgumentError("lattice dimension must be a positive integer")
+        d = _as_index(self.lattice_dim, "lattice dimension", least=1)
         rays = tuple(tuple(map(_as_int, ray)) for ray in self.rays)
         if not rays:
             raise InvalidArgumentError("a fan needs at least one ray")
@@ -85,13 +84,15 @@ class Fan:
             raise InvalidArgumentError("rays must be distinct")
         if rank_of_rows(rays) != d:
             raise RankError("rays must span the ambient space")
-        cones = tuple(tuple(sorted(set(c))) for c in self.max_cones)
+        cones = tuple(
+            tuple(sorted({_as_index(i, "ray index") for i in c})) for c in self.max_cones
+        )
         if not cones:
             raise InvalidArgumentError("a fan needs at least one maximal cone")
         for cone in cones:
             if not cone:
                 raise InvalidArgumentError("empty maximal cone")
-            if cone[0] < 0 or cone[-1] >= len(rays):
+            if cone[-1] >= len(rays):
                 raise InvalidArgumentError(f"cone {cone} indexes a missing ray")
             if rank_of_rows([rays[i] for i in cone]) != len(cone):
                 raise UnsupportedFeatureError(
@@ -215,10 +216,8 @@ class WeightedBundleSpec:
     a: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InvalidArgumentError("base dimension n must be a positive integer")
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
-            raise InvalidArgumentError("fiber index m must be a nonnegative integer")
+        _as_index(self.n, "base dimension n", least=1)
+        _as_index(self.m, "fiber index m")
         omega = tuple(map(_as_int, self.omega))
         if len(omega) != self.m + 1:
             raise InvalidArgumentError(

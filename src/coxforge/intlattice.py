@@ -39,6 +39,23 @@ The central notions:
 * the row-style Hermite normal form is the canonical representative used
   whenever two matrices have to be compared up to unimodular row
   equivalence.
+
+Every number a caller passes where coxforge expects an integer meets one
+of two rules, and this module is their one home:
+
+* a *value* (a ray, wall, type vector, degree, weight, exponent or
+  character entry) goes through ``_as_int``: an integral number (``2.0``,
+  ``True``, ``Fraction(4, 2)``) becomes that ``int``, and anything else (a
+  non-integral number, NaN, an infinity, a string, bytes, ``None``) raises
+  ``InvalidArgumentError("non-integer entry ...")``;
+* an *index* (an index, count, dimension or bound) goes through
+  ``_as_index``: it must be an ``int`` that is not a ``bool`` and at least
+  its lower bound, and it is returned unchanged, so an ``IntEnum`` member
+  stays one.
+
+An :class:`IntMatrix` entry follows the index rule's type test without the
+bound: a plain ``int`` only, never coerced.  Constructors run the rules in
+their checked path only, and values built from checked ones skip them.
 """
 
 from __future__ import annotations
@@ -57,16 +74,29 @@ from coxforge.errors import (
 
 
 def _as_int(x) -> int:
-    """``int(x)`` for user input, refusing a number that is not integral.
+    """The value rule: ``x`` as an ``int``, if it is an integral number.
 
-    ``int`` truncates ``1.5`` to ``1``; this raises the error that
-    :class:`IntMatrix` gives for such an entry.  An integral number (``2.0``,
-    ``True``) and a string ``int`` parses still coerce.
+    ``int`` truncates ``1.5`` to ``1`` and parses ``"1"``; this raises the
+    error that :class:`IntMatrix` gives for such an entry instead, and for
+    ``None``, NaN and the infinities, which ``int`` rejects with other
+    exception types.
     """
-    value = int(x)
-    if value != x and not isinstance(x, str):
+    try:
+        value = int(x)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != x:  # a string or bytes never equals an int
         raise InvalidArgumentError(f"non-integer entry {x!r}")
     return value
+
+
+def _as_index(x, what: str, least: int = 0):
+    """The index rule: ``x`` itself, if it is an ``int``, not a ``bool``, and
+    at least ``least`` (0 or 1)."""
+    if not isinstance(x, int) or isinstance(x, bool) or x < least:
+        kind = "positive" if least == 1 else "nonnegative"
+        raise InvalidArgumentError(f"{what} must be a {kind} integer, got {x!r}")
+    return x
 
 
 @frozen
@@ -96,10 +126,11 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        _as_index(n, "identity size")
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @property
@@ -280,7 +311,7 @@ def minor_gcd(m: IntMatrix, r: int) -> int:
     Raises:
         InvalidArgumentError: if ``r`` exceeds either dimension of ``m``.
     """
-    if r < 1 or r > min(m.rows, m.cols):
+    if _as_index(r, "minor size") < 1 or r > min(m.rows, m.cols):
         raise InvalidArgumentError(f"no {r} x {r} minors in a {m.rows} x {m.cols} matrix")
     return prod(_SmithForm.of(m).diag[:r])
 
@@ -295,7 +326,7 @@ def is_standard(m: IntMatrix) -> bool:
 
 def delete_column(m: IntMatrix, k: int) -> IntMatrix:
     """Copy of ``m`` with column ``k`` removed."""
-    if not 0 <= k < m.cols:
+    if _as_index(k, "column index") >= m.cols:
         raise InvalidArgumentError(f"column {k} out of range")
     return IntMatrix(tuple(row[:k] + row[k + 1 :] for row in m.entries))
 

@@ -13,7 +13,7 @@ from math import gcd
 from ._frozen import frozen
 from .errors import InvalidArgumentError, UnsupportedFeatureError
 from .galefan import WeightedBundleSpec
-from .intlattice import _as_int
+from .intlattice import _as_index, _as_int
 
 __all__ = [
     "QuotientSingularity",
@@ -39,14 +39,8 @@ class QuotientSingularity:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 1:
-            raise InvalidArgumentError("singularity index must be a positive integer")
-        reduced = []
-        for w in self.weights:
-            if not isinstance(w, int) or isinstance(w, bool):
-                raise InvalidArgumentError(f"weight {w!r} is not an integer")
-            reduced.append(w % self.index)
-        object.__setattr__(self, "weights", tuple(reduced))
+        r = _as_index(self.index, "singularity index", least=1)
+        object.__setattr__(self, "weights", tuple(_as_int(w) % r for w in self.weights))
 
     def __str__(self) -> str:
         inner = ",".join(str(w) for w in self.weights)
@@ -71,9 +65,9 @@ class ChartReport:
 
     def __post_init__(self) -> None:
         i, j = self.chart
-        if i < 0 or j < 0:
-            raise InvalidArgumentError("chart indices must be nonnegative")
-        object.__setattr__(self, "chart", (_as_int(i), _as_int(j)))
+        object.__setattr__(
+            self, "chart", (_as_index(i, "chart index"), _as_index(j, "chart index"))
+        )
 
 
 def normalize_type(q: QuotientSingularity) -> QuotientSingularity:
@@ -156,9 +150,9 @@ def fixed_point_type(spec: WeightedBundleSpec, i: int, j: int) -> QuotientSingul
     fiber directions carry the residues of ``(a_0, ..., a_m)`` omitting
     ``a_j``.  Reported in normalized form.
     """
-    if not 0 <= i <= spec.n:
+    if _as_index(i, "base chart index") > spec.n:
         raise InvalidArgumentError(f"base chart index {i} out of range 0..{spec.n}")
-    if not 0 <= j <= spec.m:
+    if _as_index(j, "fiber chart index") > spec.m:
         raise InvalidArgumentError(f"fiber chart index {j} out of range 0..{spec.m}")
     a = spec.fiber_weights
     aj = a[j]

@@ -20,7 +20,7 @@ from .errors import (
     NotQuasiProjectiveError,
     UnsupportedFeatureError,
 )
-from .intlattice import _as_int, primitive_vector
+from .intlattice import _as_index, _as_int, primitive_vector
 
 __all__ = [
     "Chamber",
@@ -50,15 +50,6 @@ def _require_rank2(p: CoxPresentation) -> None:
         raise InvalidArgumentError(
             f"chamber analysis needs a rank-2 presentation, got rank {p.rank}"
         )
-
-
-def _multiple(v: Sequence[int], prim: Vec2) -> Optional[int]:
-    """The integer ``k`` with ``v == k * prim``, or ``None`` if there is none."""
-    axis = 0 if prim[0] != 0 else 1
-    k, rem = divmod(v[axis], prim[axis])
-    if rem or k * prim[1 - axis] != v[1 - axis]:
-        return None
-    return k
 
 
 def _split(at: Sequence[int], cut: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -122,8 +113,7 @@ class Chamber:
         right = tuple(map(_as_int, self.right))
         if left == right:
             raise InvalidArgumentError("chamber walls must be distinct")
-        if self.index < 0:
-            raise InvalidArgumentError("chamber index must be nonnegative")
+        _as_index(self.index, "chamber index")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
@@ -308,7 +298,7 @@ class _Sweep:
         for j, (d, (c0, c1)) in enumerate(zip(self.dirs, self.cols)):
             if d == w:
                 on_wall.append(j)
-                base_weights.append(c0 // w0 if w0 else c1 // w1)
+                base_weights.append(self.multiple(j))
             else:
                 entries.append(o * (c0 * w1 - c1 * w0))
         total = sum(entries)
@@ -326,6 +316,11 @@ class _Sweep:
             base_weights=tuple(base_weights),
         )
 
+    def multiple(self, j: int) -> int:
+        """The ``k`` with column ``j`` equal to ``k`` times its direction."""
+        (c0, c1), (d0, d1) = self.cols[j], self.dirs[j]
+        return c0 // d0 if d0 else c1 // d1
+
     def moving(self) -> tuple[Vec2, Vec2]:
         """Boundary rays of the moving cone (see :func:`cones_rank2`)."""
         if not self._moving:
@@ -333,6 +328,19 @@ class _Sweep:
                 "the moving cone is empty: some divisor meets every model"
             )
         return self._moving
+
+    def ends(self) -> tuple[Vec2, Vec2]:
+        """The low and high ends of the game: the moving cone's boundary rays.
+
+        A game starts from a model whose ample cone, an open chamber, lies
+        inside the moving cone, so a moving cone that is one ray has none.
+        """
+        low, high = self.moving()
+        if low == high:
+            raise UnsupportedFeatureError(
+                f"the moving cone is the single ray {low}: no chamber lies inside it"
+            )
+        return low, high
 
 
 @kept("_sweep")
@@ -374,7 +382,7 @@ def wall_crossing(p: CoxPresentation, wall: Sequence[int]) -> WallCrossing:
     positive on the earlier-chamber side; on-wall variables go to
     ``base_vars`` with their multiples of the wall primitive.
     """
-    return _sweep_of(p).crossing(tuple(primitive_vector(wall)))
+    return _sweep_of(p).crossing(primitive_vector(tuple(map(_as_int, wall))))
 
 
 def cones_rank2(
@@ -407,11 +415,10 @@ def _reversed_key(e: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _check_level(target: Vec2, degree_bound: int) -> None:
-    """Reject a zero character or a negative degree bound."""
+    """Reject a zero character or a degree bound that is no index."""
     if target == (0, 0):
         raise InvalidArgumentError("character must be nonzero")
-    if degree_bound < 0:
-        raise InvalidArgumentError("degree bound must be nonnegative")
+    _as_index(degree_bound, "degree bound")
 
 
 def _generators(
@@ -516,23 +523,18 @@ def monomial_string(variables: Sequence[str], exponents: Sequence[int]) -> str:
 
 
 def _default_bound(sweep: _Sweep, ray: Vec2) -> int:
-    on_ray = [_multiple(c, ray) for c, d in zip(sweep.cols, sweep.dirs) if d == ray]
-    return max(1, max(on_ray, default=1)) + 1
+    """One more than the largest multiple of ``ray`` among the columns on it."""
+    return max(sweep.multiple(j) for j, d in enumerate(sweep.dirs) if d == ray) + 1
 
 
-def _end(sweep: _Sweep, ray: Vec2, degree_bound: Optional[int]) -> EndBehavior:
-    moving = sweep.moving()
-    if ray not in moving:
-        raise InvalidArgumentError(
-            f"{ray} is not a boundary ray of the moving cone {moving}"
-        )
-    low = ray == moving[0]
-    ray = moving[0] if low else moving[1]
+def _end(sweep: _Sweep, high: bool, degree_bound: Optional[int]) -> EndBehavior:
+    """The low (``high`` false) or high end of the game of ``sweep``."""
+    ray = sweep.ends()[high]
     k = sweep.walls.index(ray)
-    if low:
-        beyond = [j for j, a in enumerate(sweep.at) if a < k]
-    else:
+    if high:
         beyond = [j for j, a in enumerate(sweep.at) if a > k]
+    else:
+        beyond = [j for j, a in enumerate(sweep.at) if a < k]
     bound = degree_bound if degree_bound is not None else _default_bound(sweep, ray)
     _check_level(ray, bound)
     gens = _generators(sweep, ray, bound)
@@ -563,21 +565,33 @@ def end_behavior(
     beyond means its divisor is contracted; the moving cone spans the
     second-smallest to second-largest wall, so no more lie beyond.
     Target generators come from :func:`graded_ring_generators` at the ray.
+
+    Raises:
+        UnsupportedFeatureError: if the moving cone is empty or one ray.
     """
     _require_rank2(p)
-    ray = tuple(primitive_vector(extreme_ray))
-    return _end(_sweep_of(p), ray, degree_bound)
+    ray = primitive_vector(tuple(map(_as_int, extreme_ray)))
+    sweep = _sweep_of(p)
+    ends = sweep.ends()
+    if ray not in ends:
+        raise InvalidArgumentError(
+            f"{ray} is not a boundary ray of the moving cone {ends}"
+        )
+    return _end(sweep, ray == ends[1], degree_bound)
 
 
 def two_ray_game(
     p: CoxPresentation, degree_bound: Optional[int] = None
 ) -> GameDiagram:
-    """Every model, crossing and end of the rank-2 game, in sweep order."""
+    """Every model, crossing and end of the rank-2 game, in sweep order.
+
+    Raises:
+        UnsupportedFeatureError: if the moving cone is empty or one ray.
+    """
     sweep = _sweep_of(p)
     models = tuple(sweep.model(c.index) for c in sweep.chambers)
     crossings = tuple(sweep.crossing(w) for w in sweep.walls[1:-1])
-    low, high = sweep.moving()
-    ends = (_end(sweep, low, degree_bound), _end(sweep, high, degree_bound))
+    ends = (_end(sweep, False, degree_bound), _end(sweep, True, degree_bound))
     return GameDiagram(models, crossings, ends, sweep.chambers)
 
 

@@ -8,14 +8,17 @@ namespace standing in for the value.  On a table of bad inputs both must
 raise the same exception class with the same message, and on random
 valid inputs both must store the same fields (compared by ``repr``, so a
 coerced ``int`` and an ``IntEnum`` member stay apart).  The coercions of
-``Chamber``, ``WallCrossing`` and ``EndBehavior`` (``loop_int``) refuse a
-number that ``int`` would truncate, as ``IntMatrix`` does.
+``Chamber``, ``WallCrossing``, ``EndBehavior`` and ``Fan`` (``loop_int``)
+refuse a number that ``int`` would truncate and a string that ``int`` would
+parse, as ``IntMatrix`` does, and a chamber index is an index: an ``int``,
+not a ``bool``, at least 0.
 """
 
 import enum
 import itertools
 import random
 import timeit
+from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
@@ -23,6 +26,7 @@ import pytest
 
 from coxforge.coxpres import CoxPresentation, MonomialIdeal
 from coxforge.errors import (
+    CoxforgeError,
     InvalidArgumentError,
     RankError,
     UnsupportedFeatureError,
@@ -116,11 +120,13 @@ def loop_cox_presentation(self):
 
 
 def loop_int(e):
-    """``int(e)``, refusing a number that ``int`` would truncate."""
-    value = int(e)
-    if value != e and not isinstance(e, str):
-        raise InvalidArgumentError(f"non-integer entry {e!r}")
-    return value
+    """``e`` as an ``int`` when it is an integral float or a rational with
+    denominator 1 (``bool`` included); anything else is refused."""
+    if isinstance(e, float) and e.is_integer():
+        return int(e)
+    if isinstance(e, (int, Fraction)) and e.denominator == 1:
+        return int(e)
+    raise InvalidArgumentError(f"non-integer entry {e!r}")
 
 
 def loop_chamber(self):
@@ -128,8 +134,10 @@ def loop_chamber(self):
     right = tuple(loop_int(e) for e in self.right)
     if left == right:
         raise InvalidArgumentError("chamber walls must be distinct")
-    if self.index < 0:
-        raise InvalidArgumentError("chamber index must be nonnegative")
+    if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 0:
+        raise InvalidArgumentError(
+            f"chamber index must be a nonnegative integer, got {self.index!r}"
+        )
     object.__setattr__(self, "left", left)
     object.__setattr__(self, "right", right)
 
@@ -171,8 +179,8 @@ def loop_end_behavior(self):
 def loop_fan(self):
     d = self.lattice_dim
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise InvalidArgumentError("lattice dimension must be a positive integer")
-    rays = tuple(tuple(int(e) for e in ray) for ray in self.rays)
+        raise InvalidArgumentError(f"lattice dimension must be a positive integer, got {d!r}")
+    rays = tuple(tuple(loop_int(e) for e in ray) for ray in self.rays)
     if not rays:
         raise InvalidArgumentError("a fan needs at least one ray")
     for ray in rays:
@@ -345,10 +353,22 @@ def test_bad_inputs_fail_alike(cls, args):
     agree(cls, *args)
 
 
+# Rows whose value has the wrong shape: ``3`` is no wall and ``None`` no ray.
+SHAPE_ROWS = [(Chamber, (3, (0, 1), 0)), (EndBehavior, ("Fibration", None))]
+
+
 def test_table_covers_each_failure():
     kinds = {oracle_outcome(cls, *args)[0] for cls, args in BAD}
     assert {"ok", InvalidArgumentError, RankError, UnsupportedFeatureError,
-            TypeError, ValueError} <= kinds
+            TypeError} <= kinds
+    # A non-integral number, a string or None as an entry is an input
+    # error; only a wrong shape escapes as a TypeError.
+    for cls, args in BAD:
+        kind = outcome(cls, *args)[0]
+        if (cls, args) in SHAPE_ROWS:
+            assert kind is TypeError, (cls.__name__, args)
+        else:
+            assert kind == "ok" or issubclass(kind, CoxforgeError), (cls.__name__, args)
 
 
 def test_zero_column_reports_its_first_position():
@@ -464,7 +484,7 @@ def nonintegral_calls():
 
     from coxforge.blowup import BlowupSpec, Equation, blow_up_wps, pullback_order
     from coxforge.galefan import WeightedBundleSpec, star_subdivision
-    from coxforge.singular import ChartReport, QuotientSingularity
+    from coxforge.singular import QuotientSingularity
     from coxforge.vgit import anticanonical_in_moving_interior, graded_ring_generators
 
     fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), P2_CONES)
@@ -483,7 +503,7 @@ def nonintegral_calls():
         "equation-degree": (lambda: Equation((-1, 3.5)), 3.5),
         "equation-support": (lambda: Equation((-1, 3), ((1, 0.5),)), 0.5),
         "pullback-support": (lambda: pullback_order(spec, [(1, 0, 0, 0, 1.25, 0, 0)]), 1.25),
-        "chart": (lambda: ChartReport((0, 1.5), QuotientSingularity(1, ())), 1.5),
+        "singularity-weight": (lambda: QuotientSingularity(3, (1, 1.5)), 1.5),
         "gens-character": (lambda: graded_ring_generators(p1xp1, (1, 0.5), 2), 0.5),
         "anticanonical-degree": (lambda: anticanonical_in_moving_interior(p1xp1, [(1, 0.5)]),
                                  0.5),

@@ -13,6 +13,7 @@ from functools import cmp_to_key
 import pytest
 
 from coxforge import _kernels, vgit
+from coxforge.cli import main
 from coxforge.coxpres import CoxPresentation, MonomialIdeal
 from coxforge.errors import (
     CoxforgeError,
@@ -219,6 +220,23 @@ class TestDegenerateAndErrors:
         with pytest.raises(InvalidArgumentError, match="unknown end kind"):
             vgit.EndBehavior("Unclassified", (1, 0), beyond_count=2)
 
+    def test_one_ray_moving_cone_has_no_game(self, tmp_path, capsys):
+        # Dropping a or c leaves the column of b; the moving cone is (1, 0).
+        p = P("abc", [[1, -2, 3], [0, -3, 3]], [(0,), (1, 2)], stacky=True)
+        message = "the moving cone is the single ray (1, 0): no chamber lies inside it"
+        assert cones_rank2(p)[1] == ((1, 0), (1, 0))
+        assert anticanonical_in_moving_interior(p, []) is False
+        for call in (lambda: two_ray_game(p), lambda: end_behavior(p, (1, 0)),
+                     lambda: end_behavior(p, (2, 0), 3)):
+            with pytest.raises(UnsupportedFeatureError) as caught:
+                call()
+            assert str(caught.value) == message
+        path = tmp_path / "one-ray.cox"
+        path.write_text("rank 2\nvars a b c\n1 -2 3\n0 -3 3\nirrelevant (a)(b,c)\nstacky true\n")
+        assert main(["game", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     def test_rank_must_be_two(self):
         p1 = P("ab", [[1, 1]], [(0, 1)])
         with pytest.raises(InvalidArgumentError):
@@ -420,6 +438,15 @@ class TestSweepOracle:
 # the generator search against the box search and filters it replaced
 
 
+def multiple(v, prim):
+    """The integer ``k`` with ``v == k * prim``, or ``None`` if there is none."""
+    axis = 0 if prim[0] != 0 else 1
+    k, rem = divmod(v[axis], prim[axis])
+    if rem or k * prim[1 - axis] != v[1 - axis]:
+        return None
+    return k
+
+
 def dickson_minimal(vectors):
     """Componentwise-minimal elements of a finite set of exponent vectors."""
     return [
@@ -462,7 +489,7 @@ def oracle_generators(sweep, target, degree_bound):
     values = [ell[0] * c[0] + ell[1] * c[1] for c in cols]
     zline = [j for j, v in enumerate(values) if v == 0]
     free = [j for j, v in enumerate(values) if v > 0]
-    qs = tuple(vgit._multiple(cols[j], lo) for j in zline)
+    qs = tuple(multiple(cols[j], lo) for j in zline)
     invariants = dickson_minimal([s for s in line_solutions(qs, 0) if any(s)])
 
     def monomials(d):
@@ -473,7 +500,7 @@ def oracle_generators(sweep, target, degree_bound):
                 if rest == (0, 0):
                     out.append(tuple(e))
                 return
-            rho = vgit._multiple(rest, lo)
+            rho = multiple(rest, lo)
             if rho is None:
                 return
             for s in line_solutions(qs, rho):
@@ -578,9 +605,9 @@ def outcome(f, *args):
 class TestGeneratorOracle:
     def test_generators_and_games_match_box_search(self, monkeypatch):
         # Three or more columns spanning a halfplane or a strictly convex
-        # cone always leave a nonempty moving cone, so every game succeeds;
-        # the only error is a rejected level (a zero character or a
-        # negative bound).
+        # cone always leave a nonempty moving cone.  The generators' only
+        # error is a rejected level (a zero character or a negative bound);
+        # the game's is a moving cone that is one ray.
         rng = random.Random(7)
         seen = Counter()
         for support in (random_halfplane, random_cone):
@@ -597,15 +624,19 @@ class TestGeneratorOracle:
                         assert got == ("ok", oracle_generators(sweep, chi, bound)), (p, chi)
                         kind = "generators" if got[1] else "none"
                     seen[support.__name__, kind] += 1
-                game = two_ray_game(p)
-                with monkeypatch.context() as m:
-                    m.setattr(vgit, "_generators", oracle_generators)
-                    assert game == two_ray_game(p), p
-                seen[support.__name__, "game"] += 1
+                game = outcome(two_ray_game, p)
+                if game[0] == "ok":
+                    with monkeypatch.context() as m:
+                        m.setattr(vgit, "_generators", oracle_generators)
+                        assert game == outcome(two_ray_game, p), p
+                    seen[support.__name__, "game"] += 1
+                else:
+                    assert game[0] is UnsupportedFeatureError and "single ray" in game[1], p
+                    seen[support.__name__, "one-ray"] += 1
         assert set(seen) == {
             (support, kind)
             for support in ("random_halfplane", "random_cone")
-            for kind in ("generators", "none", "rejected", "game")
+            for kind in ("generators", "none", "rejected", "game", "one-ray")
         }, seen
 
     @pytest.mark.parametrize("bound, expected", [
@@ -820,6 +851,7 @@ def reference_two_ray_game(p, degree_bound=None):
     The construction ``two_ray_game`` used before its values were built
     without their checks: the sweep's walls, wall indices and orientation,
     then each chamber, model, ideal, crossing and end checked on the way.
+    A moving cone that is empty or one ray has no game.
     """
     sweep = vgit._Sweep(p)
     walls = sweep.walls
@@ -838,7 +870,7 @@ def reference_two_ray_game(p, degree_bound=None):
         on_wall = [j for j, d in enumerate(sweep.dirs) if d == w]
         off_wall = [j for j, d in enumerate(sweep.dirs) if d != w]
         entries = tuple(sweep.orient * _det2(sweep.cols[j], w) for j in off_wall)
-        base_weights = tuple(vgit._multiple(sweep.cols[j], w) for j in on_wall)
+        base_weights = tuple(multiple(sweep.cols[j], w) for j in on_wall)
         total = sum(entries)
         kind = "Flip" if total > 0 else "AntiFlip" if total < 0 else "Flop"
         crossings.append(
@@ -851,13 +883,18 @@ def reference_two_ray_game(p, degree_bound=None):
         )
     ends = []
     moving = (walls[s[1]], walls[s[-2]])
-    for ray in moving:
+    if s[1] == s[-2]:
+        raise UnsupportedFeatureError(
+            f"the moving cone is the single ray {moving[0]}: no chamber lies inside it"
+        )
+    for side, ray in enumerate(moving):
         k = walls.index(ray)
-        if ray == moving[0]:  # also the high end of a one-ray moving cone
+        if side == 0:
             beyond = [j for j, a in enumerate(sweep.at) if a < k]
         else:
             beyond = [j for j, a in enumerate(sweep.at) if a > k]
-        bound = degree_bound if degree_bound is not None else vgit._default_bound(sweep, ray)
+        on_ray = [multiple(c, ray) for c, d in zip(sweep.cols, sweep.dirs) if d == ray]
+        bound = degree_bound if degree_bound is not None else max(on_ray) + 1
         gens = vgit._generators(sweep, ray, bound)
         if beyond:
             ends.append(vgit.EndBehavior(
@@ -914,9 +951,10 @@ def count_checks(monkeypatch, classes=CHECKED):
 
 class TestGameValuesByConstruction:
     def test_random_games_match_the_checked_construction(self):
+        # 1,500 inputs that give a game or a one-ray moving cone
         rng = random.Random(2024)
         seen = Counter()
-        while seen["ok"] < 1500:
+        while seen["ok"] + seen["one-ray"] < 1500:
             p = random_rank2(rng)
             expected = outcome(reference_two_ray_game, fresh(p))
             got = outcome(two_ray_game, p)
@@ -924,8 +962,9 @@ class TestGameValuesByConstruction:
             if got[0] == "ok":
                 assert repr(got[1]) == repr(expected[1])
                 assert_game_rebuilds(got[1])
-            seen[got[0]] += 1
-        assert {NotQuasiProjectiveError, UnsupportedFeatureError} <= set(seen), seen
+            one_ray = got[0] is UnsupportedFeatureError and "single ray" in got[1]
+            seen["one-ray" if one_ray else got[0]] += 1
+        assert {NotQuasiProjectiveError, UnsupportedFeatureError, "one-ray"} <= set(seen), seen
 
     def test_scaled_games_match_the_checked_construction(self):
         workloads = load_workloads()
